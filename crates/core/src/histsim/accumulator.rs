@@ -10,12 +10,14 @@
 //!
 //! Counts are kept dense (candidate-major, like
 //! [`super::state::CountState`]) so accumulation itself is two array
-//! increments per tuple, plus a *touched-candidate* list so that merging
-//! and clearing cost `O(touched × groups)` rather than
-//! `O(candidates × groups)` — essential when a 150-tuple block meets a
-//! multi-thousand-candidate domain. Accumulators are meant to be reused:
-//! [`HistAccumulator::clear`] resets in `O(touched × groups)` without
-//! freeing the backing storage.
+//! increments per tuple. Beside them the accumulator lists its touched
+//! *candidates* and its touched *cells* (non-zero `(candidate, group)`
+//! slots), so merging and clearing walk only non-zero entries: both cost
+//! `O(touched cells + touched candidates)`, at most `O(tuples)`, however
+//! large `|V_Z| × |V_X|` is — essential when a 150-tuple block meets a
+//! multi-thousand-candidate or multi-hundred-group domain. Accumulators
+//! are meant to be reused: [`HistAccumulator::clear`] resets in that same
+//! bound without freeing the backing storage.
 
 /// A mergeable batch of per-candidate/per-group count deltas.
 ///
@@ -28,30 +30,21 @@ pub struct HistAccumulator {
     groups: usize,
     /// Dense per-(candidate, group) deltas, `candidate * groups + g`.
     counts: Vec<u64>,
+    /// Cells with a non-zero delta, in first-touch order.
+    cells: Vec<u32>,
     /// Per-candidate delta totals.
     n: Vec<u64>,
     /// Candidates with `n > 0`, in first-touch order.
     touched: Vec<u32>,
-    /// Epoch stamps backing the touched list: candidate `c` is touched
-    /// iff `stamp[c] == epoch`. A [`Self::clear`] invalidates every
-    /// stamp by bumping the epoch (O(1)), and the batch kernel's inner
-    /// loop tests a stamp instead of branching on `n[c] == 0` — the
-    /// stamp is written exactly once per (candidate, batch) while `n`
-    /// is written per tuple, which keeps the first-touch check off the
-    /// increment dependency chain.
-    stamp: Vec<u32>,
-    /// Current stamp generation (never 0 for an untouched slot's value).
-    epoch: u32,
     /// Total tuples accumulated.
     tuples: u64,
 }
 
-/// Manual `Debug` over the *logical* state only. The `stamp`/`epoch`
-/// bookkeeping is an implementation detail of `clear()` whose values
-/// depend on how often an accumulator was reused — including it would
-/// break the byte-identical `Debug`-repr equivalence the shard-merge
-/// property tests assert between differently-driven but logically equal
-/// states.
+/// Manual `Debug` over the *logical* state only. The `cells` list is an
+/// index over `counts` whose order depends on how the deltas were folded
+/// together — including it would break the byte-identical `Debug`-repr
+/// equivalence the shard-merge property tests assert between
+/// differently-driven but logically equal states.
 impl std::fmt::Debug for HistAccumulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HistAccumulator")
@@ -69,13 +62,16 @@ impl HistAccumulator {
     /// domain.
     pub fn new(num_candidates: usize, groups: usize) -> Self {
         assert!(groups > 0, "histograms must have at least one group");
+        assert!(
+            (num_candidates * groups) as u64 <= 1 << 32,
+            "{num_candidates} x {groups} cells exceed u32 cell indices"
+        );
         HistAccumulator {
             groups,
             counts: vec![0; num_candidates * groups],
+            cells: Vec::new(),
             n: vec![0; num_candidates],
             touched: Vec::new(),
-            stamp: vec![0; num_candidates],
-            epoch: 1,
             tuples: 0,
         }
     }
@@ -106,6 +102,17 @@ impl HistAccumulator {
         &self.touched
     }
 
+    /// Cells (`candidate * groups + group`) with a non-zero delta, in
+    /// first-touch order. Never longer than [`Self::tuples`].
+    pub fn touched_cells(&self) -> &[u32] {
+        &self.cells
+    }
+
+    /// The delta of one cell (`candidate * groups + group`).
+    pub(crate) fn cell(&self, cell: u32) -> u64 {
+        self.counts[cell as usize]
+    }
+
     /// The delta row of one candidate (all `groups` cells).
     pub fn candidate_counts(&self, candidate: usize) -> &[u64] {
         &self.counts[candidate * self.groups..(candidate + 1) * self.groups]
@@ -116,18 +123,8 @@ impl HistAccumulator {
         self.n[candidate]
     }
 
-    /// Marks candidate `c` touched if it is not already (first-touch
-    /// bookkeeping shared by every accumulation path).
-    #[inline]
-    fn touch(&mut self, c: u32) {
-        let s = &mut self.stamp[c as usize];
-        if *s != self.epoch {
-            *s = self.epoch;
-            self.touched.push(c);
-        }
-    }
-
-    /// Accumulates one tuple: candidate `c` observed with group `g`.
+    /// Accumulates one tuple: candidate `c` observed with group `g` —
+    /// the per-tuple reference for [`Self::accumulate`].
     ///
     /// # Panics
     /// Panics if `c`/`g` are outside the declared domain.
@@ -137,8 +134,14 @@ impl HistAccumulator {
         let gi = g as usize;
         assert!(ci < self.n.len(), "candidate {c} out of domain");
         assert!(gi < self.groups, "group {g} out of domain");
-        self.touch(c);
-        self.counts[ci * self.groups + gi] += 1;
+        let cell = ci * self.groups + gi;
+        if self.counts[cell] == 0 {
+            self.cells.push(cell as u32);
+        }
+        self.counts[cell] += 1;
+        if self.n[ci] == 0 {
+            self.touched.push(c);
+        }
         self.n[ci] += 1;
         self.tuples += 1;
     }
@@ -147,85 +150,109 @@ impl HistAccumulator {
     /// candidate and group codes of the i-th tuple. Equivalent to calling
     /// [`Self::accumulate_one`] per tuple, but implemented as the batched
     /// ingestion kernel: the whole batch is bounds-checked against the
-    /// domain **once** (a branch-free max-fold), after which the fused
-    /// inner loop runs without per-tuple asserts, with the first-touch
-    /// check reduced to an epoch-stamp compare.
+    /// domain **once** (`check_batch`), after which the fused inner
+    /// loop runs without per-tuple asserts and without first-touch
+    /// branches (see `add_listed`).
     ///
     /// # Panics
     /// Panics on length mismatch or out-of-domain codes.
     pub fn accumulate(&mut self, zs: &[u32], xs: &[u32]) {
-        assert_eq!(zs.len(), xs.len(), "column slices must align");
-        if zs.is_empty() {
-            return;
-        }
-        // Validate once: fold both columns to their maxima, so the hot
-        // loop below never takes (and the optimizer can hoist) a domain
-        // check. The panic message names the offending code, matching
-        // the per-tuple contract.
-        let max_c = zs.iter().copied().max().expect("non-empty");
-        let max_g = xs.iter().copied().max().expect("non-empty");
-        assert!(
-            (max_c as usize) < self.n.len(),
-            "candidate {max_c} out of domain"
-        );
-        assert!(
-            (max_g as usize) < self.groups,
-            "group {max_g} out of domain"
-        );
+        check_batch(zs, xs, self.n.len(), self.groups);
         let groups = self.groups;
-        let epoch = self.epoch;
+        let mut cells = open_list(&mut self.cells, zs.len());
+        let mut touched = open_list(&mut self.touched, zs.len());
         for (&c, &g) in zs.iter().zip(xs) {
-            let ci = c as usize;
-            self.counts[ci * groups + g as usize] += 1;
-            self.n[ci] += 1;
-            let s = &mut self.stamp[ci];
-            if *s != epoch {
-                *s = epoch;
-                self.touched.push(c);
-            }
+            let cell = (c as usize * groups + g as usize) as u32;
+            add_listed(&mut self.counts, &mut self.cells, &mut cells, cell, 1);
+            add_listed(&mut self.n, &mut self.touched, &mut touched, c, 1);
         }
+        self.cells.truncate(cells);
+        self.touched.truncate(touched);
         self.tuples += zs.len() as u64;
     }
 
     /// Folds another accumulator's deltas into this one (shard merge /
-    /// tree reduction). The other accumulator is left untouched.
+    /// tree reduction), walking only its touched cells and candidates.
+    /// The other accumulator is left untouched.
     ///
     /// # Panics
     /// Panics if the domains differ.
     pub fn merge_from(&mut self, other: &HistAccumulator) {
         assert_eq!(self.groups, other.groups, "group domains must match");
         assert_eq!(self.n.len(), other.n.len(), "candidate domains must match");
-        for &c in &other.touched {
-            let ci = c as usize;
-            self.touch(c);
-            self.n[ci] += other.n[ci];
-            let base = ci * self.groups;
-            for g in 0..self.groups {
-                self.counts[base + g] += other.counts[base + g];
-            }
+        let mut cells = open_list(&mut self.cells, other.cells.len());
+        for &cell in &other.cells {
+            let d = other.counts[cell as usize];
+            add_listed(&mut self.counts, &mut self.cells, &mut cells, cell, d);
         }
+        self.cells.truncate(cells);
+        let mut touched = open_list(&mut self.touched, other.touched.len());
+        for &c in &other.touched {
+            let d = other.n[c as usize];
+            add_listed(&mut self.n, &mut self.touched, &mut touched, c, d);
+        }
+        self.touched.truncate(touched);
         self.tuples += other.tuples;
     }
 
-    /// Resets to the zeroed state in `O(touched × groups)`, keeping the
-    /// backing storage for reuse.
+    /// Resets to the zeroed state in `O(touched cells + touched
+    /// candidates)`, keeping the backing storage for reuse.
     pub fn clear(&mut self) {
-        for &c in &self.touched {
-            let ci = c as usize;
-            self.n[ci] = 0;
-            let base = ci * self.groups;
-            self.counts[base..base + self.groups].fill(0);
+        for &cell in &self.cells {
+            self.counts[cell as usize] = 0;
         }
+        for &c in &self.touched {
+            self.n[c as usize] = 0;
+        }
+        self.cells.clear();
         self.touched.clear();
         self.tuples = 0;
-        // One epoch bump invalidates every stamp in O(1). On the
-        // (billions-of-clears) wrap, fall back to an O(candidates) stamp
-        // reset so a stale stamp can never collide with a live epoch.
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
+    }
+}
+
+/// Grows `list` by `extra` scratch slots for [`add_listed`] and returns
+/// its logical length; the caller truncates back to the final length.
+#[inline]
+fn open_list(list: &mut Vec<u32>, extra: usize) -> usize {
+    let len = list.len();
+    list.resize(len + extra, 0);
+    len
+}
+
+/// Adds `d > 0` to `dense[slot]` and lists `slot` if it was zero —
+/// without a branch: `slot` is always written at `list[*len]` (a scratch
+/// slot from [`open_list`]) and `*len` advances only on a first touch.
+/// Whether a tuple repeats an earlier cell or candidate is
+/// data-dependent, so as a branch this test would mispredict often and
+/// cost more than the counting itself.
+#[inline]
+fn add_listed(dense: &mut [u64], list: &mut [u32], len: &mut usize, slot: u32, d: u64) {
+    let v = dense[slot as usize];
+    dense[slot as usize] = v + d;
+    list[*len] = slot;
+    *len += usize::from(v == 0);
+}
+
+/// Checks one `(zs, xs)` batch against a `num_candidates × groups`
+/// domain: the columns must align and every code must be in range.
+/// Validating once per batch — a branch-free max-fold over each column —
+/// lets the ingestion loops that follow run without per-tuple domain
+/// checks, and guarantees a rejected batch has mutated nothing. The
+/// panic message names the offending code, matching the per-tuple
+/// contract.
+///
+/// # Panics
+/// Panics on length mismatch or out-of-domain codes.
+pub(crate) fn check_batch(zs: &[u32], xs: &[u32], num_candidates: usize, groups: usize) {
+    assert_eq!(zs.len(), xs.len(), "column slices must align");
+    if let Some(max_c) = zs.iter().copied().max() {
+        assert!(
+            (max_c as usize) < num_candidates,
+            "candidate {max_c} out of domain"
+        );
+    }
+    if let Some(max_g) = xs.iter().copied().max() {
+        assert!((max_g as usize) < groups, "group {max_g} out of domain");
     }
 }
 
@@ -244,6 +271,9 @@ mod tests {
         assert_eq!(a.candidate_counts(0), &[0, 2]);
         assert_eq!(a.candidate_counts(2), &[1, 0]);
         assert_eq!(a.touched(), &[0, 2]);
+        // cells 0*2+1 and 2*2+0, each listed once
+        assert_eq!(a.touched_cells(), &[1, 4]);
+        assert_eq!(a.cell(1), 2);
     }
 
     #[test]
@@ -266,6 +296,11 @@ mod tests {
             );
             assert_eq!(left.n(c), joint.n(c));
         }
+        let mut cells = left.touched_cells().to_vec();
+        cells.sort_unstable();
+        let mut joint_cells = joint.touched_cells().to_vec();
+        joint_cells.sort_unstable();
+        assert_eq!(cells, joint_cells);
     }
 
     #[test]
@@ -276,6 +311,7 @@ mod tests {
         assert!(a.is_empty());
         assert_eq!(a.tuples(), 0);
         assert!(a.touched().is_empty());
+        assert!(a.touched_cells().is_empty());
         for c in 0..4 {
             assert_eq!(a.n(c), 0);
             assert_eq!(a.candidate_counts(c), &[0, 0]);

@@ -42,13 +42,15 @@
 //! consumed, pass `exhausted = true` and HistSim finishes with exact
 //! results.
 //!
-//! Ingestion itself is split in two: phase-free delta *accumulation*
-//! ([`accumulator::HistAccumulator`], shareable across threads) and a
-//! phase-aware *merge* into the authoritative state ([`HistSim::merge`]).
-//! [`HistSim::ingest`] / [`HistSim::ingest_block`] are thin
-//! accumulate-then-merge wrappers preserving the original single-threaded
-//! API; parallel drivers fill accumulators on worker threads and feed the
-//! statistics thread batches to merge.
+//! Samples arrive two ways. Single-threaded drivers hand raw tuples
+//! straight to [`HistSim::ingest_block`] (or per tuple to
+//! [`HistSim::ingest`]): the phase is matched and the domain validated
+//! once per block, then each tuple costs a few array increments.
+//! Parallel drivers split ingestion in two: phase-free delta
+//! *accumulation* ([`accumulator::HistAccumulator`], shareable across
+//! threads) and a phase-aware *merge* into the authoritative state
+//! ([`HistSim::merge`]) that walks only the accumulator's non-zero cells.
+//! Both paths leave byte-identical state.
 
 pub mod accumulator;
 pub mod config;
@@ -165,9 +167,6 @@ pub struct HistSim {
     phase: Phase,
     members: Vec<u32>,
     diag: Diagnostics,
-    /// Reused delta buffer backing the single-threaded ingestion wrappers;
-    /// always cleared outside of [`Self::ingest`] / [`Self::ingest_block`].
-    scratch: HistAccumulator,
 }
 
 impl HistSim {
@@ -219,7 +218,6 @@ impl HistSim {
                 effective_k,
                 ..Diagnostics::default()
             },
-            scratch: HistAccumulator::new(num_candidates, groups),
         })
     }
 
@@ -273,68 +271,43 @@ impl HistSim {
     }
 
     /// Ingests one sampled tuple: candidate `c` (its `Z` code) observed
-    /// with group `g` (its `X` code) — the degenerate single-delta case of
-    /// [`Self::merge`], specialized to two array increments because a
-    /// one-tuple accumulator round-trip would touch a whole group row per
-    /// tuple on this per-tuple hot path (equivalence with the merge path
-    /// is covered by the shard-merge property tests).
+    /// with group `g` (its `X` code) — [`Self::ingest_block`] over a
+    /// one-tuple block.
     ///
     /// # Panics
     /// Panics if `c`/`g` are outside the declared domain (hot path; use
-    /// [`Self::try_ingest`] for checked ingestion).
+    /// [`Self::try_ingest`] for checked ingestion), or after completion.
     #[inline]
     pub fn ingest(&mut self, c: u32, g: u32) {
-        match &mut self.phase {
-            Phase::Stage1 { taken } => {
-                *taken += 1;
-                self.counts.record_cumulative(c, g);
-            }
-            Phase::Stage2 { .. } => {
-                if self.pruned[c as usize] {
-                    return;
-                }
-                self.counts.record_round(c, g);
-                let r = &mut self.remaining[c as usize];
-                if *r > 0 {
-                    *r -= 1;
-                    if *r == 0 {
-                        self.active_count -= 1;
-                    }
-                }
-            }
-            Phase::Stage3 => {
-                if self.pruned[c as usize] {
-                    return;
-                }
-                self.counts.record_cumulative(c, g);
-                let r = &mut self.remaining[c as usize];
-                if *r > 0 {
-                    *r -= 1;
-                    if *r == 0 {
-                        self.active_count -= 1;
-                    }
-                }
-            }
-            Phase::Done => panic!("ingest after completion"),
-        }
+        self.ingest_block(std::slice::from_ref(&c), std::slice::from_ref(&g));
     }
 
     /// Ingests one block's worth of samples at once: `zs[i]`/`xs[i]` are
-    /// the candidate and group codes of the i-th tuple. Equivalent to
-    /// calling [`Self::ingest`] per tuple; implemented as
-    /// accumulate-then-[`Self::merge`] over a reused scratch accumulator —
-    /// the single-threaded engine hot path.
+    /// the candidate and group codes of the i-th tuple — the synchronous
+    /// engine hot path. The phase is matched and the domain validated
+    /// once per block, so each tuple costs a pruned-flag test, two count
+    /// increments and a demand decrement. Equivalent, byte for byte, to
+    /// accumulating the block and [`Self::merge`]-ing it.
     ///
     /// # Panics
     /// Panics on length mismatch, out-of-domain codes, or after
-    /// completion.
+    /// completion — always before anything is mutated.
     pub fn ingest_block(&mut self, zs: &[u32], xs: &[u32]) {
-        assert_eq!(zs.len(), xs.len(), "column slices must align");
-        let mut acc = std::mem::replace(&mut self.scratch, HistAccumulator::new(0, 1));
-        acc.accumulate(zs, xs);
-        self.merge_ref(&acc);
-        acc.clear();
-        self.scratch = acc;
+        let groups = self.counts.groups();
+        accumulator::check_batch(zs, xs, self.counts.num_candidates(), groups);
+        let round = self.open_ingest(zs.len() as u64);
+        let (cells, totals) = self.counts.tally_mut(round);
+        let mut retired = 0;
+        for (&c, &g) in zs.iter().zip(xs) {
+            let ci = c as usize;
+            if self.pruned[ci] {
+                continue;
+            }
+            cells[ci * groups + g as usize] += 1;
+            totals[ci] += 1;
+            retired += draw_down(&mut self.remaining, ci, 1);
+        }
+        self.active_count -= retired;
     }
 
     /// Folds a batch of phase-free count deltas (see [`HistAccumulator`])
@@ -351,6 +324,8 @@ impl HistSim {
 
     /// [`Self::merge`] by reference, leaving the accumulator intact so
     /// callers can [`HistAccumulator::clear`] and reuse its storage.
+    /// Walks only the accumulator's touched cells and candidates, so the
+    /// cost is bounded by the tuples it holds, not by `|V_X|`.
     ///
     /// # Panics
     /// Panics if the accumulator's domain differs from this run's, or
@@ -361,56 +336,45 @@ impl HistSim {
             self.counts.num_candidates(),
             "candidate domains must match"
         );
-        assert_eq!(
-            acc.groups(),
-            self.counts.groups(),
-            "group domains must match"
-        );
+        let groups = self.counts.groups() as u32;
+        assert_eq!(acc.groups(), groups as usize, "group domains must match");
+        let round = self.open_ingest(acc.tuples());
+        let (cells, totals) = self.counts.tally_mut(round);
+        for &cell in acc.touched_cells() {
+            if !self.pruned[(cell / groups) as usize] {
+                cells[cell as usize] += acc.cell(cell);
+            }
+        }
+        let mut retired = 0;
+        for &c in acc.touched() {
+            let ci = c as usize;
+            if self.pruned[ci] {
+                continue;
+            }
+            let added = acc.n(ci);
+            totals[ci] += added;
+            retired += draw_down(&mut self.remaining, ci, added);
+        }
+        self.active_count -= retired;
+    }
+
+    /// Opens the ingestion of `tuples` samples in the current phase:
+    /// counts them toward stage 1's goal, and returns whether they land
+    /// in the round-fresh counts (stage 2) rather than the cumulative
+    /// ones (stages 1 and 3). The callers' shared per-sample rules hold
+    /// in every phase because stage 1 has no pruned candidates and no
+    /// per-candidate demand yet.
+    ///
+    /// # Panics
+    /// Panics after completion.
+    fn open_ingest(&mut self, tuples: u64) -> bool {
         match &mut self.phase {
             Phase::Stage1 { taken } => {
-                *taken += acc.tuples();
-                for &c in acc.touched() {
-                    let ci = c as usize;
-                    self.counts
-                        .record_cumulative_row(ci, acc.candidate_counts(ci), acc.n(ci));
-                }
+                *taken += tuples;
+                false
             }
-            Phase::Stage2 { .. } => {
-                for &c in acc.touched() {
-                    let ci = c as usize;
-                    if self.pruned[ci] {
-                        continue;
-                    }
-                    let added = acc.n(ci);
-                    self.counts
-                        .record_round_row(ci, acc.candidate_counts(ci), added);
-                    let r = &mut self.remaining[ci];
-                    if *r > 0 {
-                        *r = r.saturating_sub(added);
-                        if *r == 0 {
-                            self.active_count -= 1;
-                        }
-                    }
-                }
-            }
-            Phase::Stage3 => {
-                for &c in acc.touched() {
-                    let ci = c as usize;
-                    if self.pruned[ci] {
-                        continue;
-                    }
-                    let added = acc.n(ci);
-                    self.counts
-                        .record_cumulative_row(ci, acc.candidate_counts(ci), added);
-                    let r = &mut self.remaining[ci];
-                    if *r > 0 {
-                        *r = r.saturating_sub(added);
-                        if *r == 0 {
-                            self.active_count -= 1;
-                        }
-                    }
-                }
-            }
+            Phase::Stage2 { .. } => true,
+            Phase::Stage3 => false,
             Phase::Done => panic!("ingest after completion"),
         }
     }
@@ -844,6 +808,19 @@ impl HistSim {
     pub fn config(&self) -> &HistSimConfig {
         &self.cfg
     }
+}
+
+/// Draws candidate `c`'s outstanding demand down by `added` samples
+/// (saturating); returns 1 if that retired the candidate (its demand
+/// reached 0 just now), else 0. Branch-free: whether a sampled
+/// candidate still has demand is data-dependent, and a mispredicted
+/// branch per tuple would cost more than the counting itself.
+#[inline]
+fn draw_down(remaining: &mut [u64], c: usize, added: u64) -> usize {
+    let r = remaining[c];
+    let left = r.saturating_sub(added);
+    remaining[c] = left;
+    usize::from((r != 0) & (left == 0))
 }
 
 /// Result of a HistSim run: the matched candidates (ascending distance)

@@ -67,38 +67,19 @@ impl CountState {
         self.n_round[c] += 1;
     }
 
-    /// Adds a whole delta row (one per group, totalling `n_delta`) to one
-    /// candidate's cumulative counts — the bulk form of
-    /// [`Self::record_cumulative`] used when merging accumulators.
-    ///
-    /// # Panics
-    /// Panics if `deltas` does not have exactly `groups` entries.
+    /// The count set one ingestion writes into, as `(cells, totals)`:
+    /// the round-fresh `r∂`/`n∂` when `round` (stage-2 I/O phases), the
+    /// cumulative `r`/`n` otherwise — the bulk form of
+    /// [`Self::record_round`] / [`Self::record_cumulative`]. Handing out
+    /// the slices lets a block or merge loop pick the set once instead
+    /// of per sample. Cells are indexed `candidate * groups + group`.
     #[inline]
-    pub fn record_cumulative_row(&mut self, candidate: usize, deltas: &[u64], n_delta: u64) {
-        assert_eq!(deltas.len(), self.groups, "delta row arity");
-        let base = candidate * self.groups;
-        for (cell, &d) in self.counts[base..base + self.groups].iter_mut().zip(deltas) {
-            *cell += d;
+    pub(crate) fn tally_mut(&mut self, round: bool) -> (&mut [u64], &mut [u64]) {
+        if round {
+            (&mut self.round_counts, &mut self.n_round)
+        } else {
+            (&mut self.counts, &mut self.n)
         }
-        self.n[candidate] += n_delta;
-    }
-
-    /// Adds a whole delta row to one candidate's round-fresh counts — the
-    /// bulk form of [`Self::record_round`] used when merging accumulators.
-    ///
-    /// # Panics
-    /// Panics if `deltas` does not have exactly `groups` entries.
-    #[inline]
-    pub fn record_round_row(&mut self, candidate: usize, deltas: &[u64], n_delta: u64) {
-        assert_eq!(deltas.len(), self.groups, "delta row arity");
-        let base = candidate * self.groups;
-        for (cell, &d) in self.round_counts[base..base + self.groups]
-            .iter_mut()
-            .zip(deltas)
-        {
-            *cell += d;
-        }
-        self.n_round[candidate] += n_delta;
     }
 
     /// Cumulative sample count `nᵢ`.
@@ -275,11 +256,16 @@ mod tests {
     }
 
     #[test]
-    fn row_records_equal_repeated_single_records() {
+    fn tally_adds_equal_repeated_single_records() {
         let mut bulk = CountState::new(2, 3);
         let mut single = CountState::new(2, 3);
-        bulk.record_cumulative_row(1, &[2, 0, 1], 3);
-        bulk.record_round_row(0, &[0, 4, 0], 4);
+        let (cells, totals) = bulk.tally_mut(false);
+        cells[3] += 2; // candidate 1, group 0
+        cells[5] += 1; // candidate 1, group 2
+        totals[1] += 3;
+        let (cells, totals) = bulk.tally_mut(true);
+        cells[1] += 4; // candidate 0, group 1
+        totals[0] += 4;
         for _ in 0..2 {
             single.record_cumulative(1, 0);
         }
@@ -291,6 +277,7 @@ mod tests {
         assert_eq!(bulk.n(1), single.n(1));
         assert_eq!(bulk.n_round(0), single.n_round(0));
         assert_eq!(bulk.total_samples(), single.total_samples());
+        assert_eq!(format!("{bulk:?}"), format!("{single:?}"));
     }
 
     #[test]

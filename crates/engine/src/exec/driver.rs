@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use fastmatch_core::error::Result;
+use fastmatch_core::error::{CoreError, Result};
 use fastmatch_core::histsim::{HistAccumulator, HistSim, PhaseKind};
 use fastmatch_store::io::IoStats;
 
@@ -21,14 +21,15 @@ use crate::query::QueryJob;
 use crate::result::{MatchOutput, RunStats};
 use crate::shared::{DemandMode, SharedDemand};
 
-/// Distinct candidates of one block delivered by a shard worker, so the
+/// The candidate column of one block delivered by a shard worker, so the
 /// statistics thread can maintain consumption tracking without re-reading
 /// the block.
 #[derive(Debug)]
 pub(crate) struct BlockTouch {
     /// Block id.
     pub id: u32,
-    /// Distinct candidate codes appearing in the block.
+    /// The block's candidate codes, duplicates included: the tracker
+    /// deduplicates by block stamp.
     pub candidates: Vec<u32>,
 }
 
@@ -39,8 +40,9 @@ pub(crate) struct Driver {
     /// The state machine being driven.
     pub hs: HistSim,
     tracker: ConsumptionTracker,
-    /// Reused per-block delta buffer backing the fused ingestion path.
-    scratch: HistAccumulator,
+    /// Blocks of the table not yet ingested; at 0 the table is consumed
+    /// and the run finishes exactly.
+    blocks_unread: usize,
     t0: Instant,
 }
 
@@ -61,34 +63,29 @@ impl Driver {
         for c in absent {
             hs.mark_exact(c);
         }
-        let scratch = HistAccumulator::new(job.num_candidates(), job.num_groups());
         Ok(Driver {
             hs,
             tracker,
-            scratch,
+            blocks_unread: job.layout.num_blocks(),
             t0,
         })
     }
 
     /// Ingests one read block and updates consumption tracking — the
-    /// synchronous ingestion path, fused so the block's tuples are
-    /// traversed exactly once: the batch kernel accumulates the deltas,
-    /// whose touched list *is* the block's distinct-candidate set, so
-    /// consumption tracking runs over `O(distinct)` candidates instead of
-    /// re-walking all tuples.
+    /// synchronous ingestion path. The tuples go straight into the state
+    /// machine, and the tracker deduplicates the block's candidates
+    /// itself, so the block costs `O(tuples)` whatever `|V_X|` is.
     #[inline]
     pub fn ingest_block(&mut self, b: usize, zs: &[u32], xs: &[u32]) {
-        self.scratch.accumulate(zs, xs);
-        self.hs.merge_ref(&self.scratch);
+        self.hs.ingest_block(zs, xs);
         let hs = &mut self.hs;
-        self.tracker
-            .block_read(b, self.scratch.touched(), |c| hs.mark_exact(c));
-        self.scratch.clear();
+        self.tracker.block_read(b, zs, |c| hs.mark_exact(c));
+        self.blocks_unread -= 1;
     }
 
     /// Merges a shard batch: folds the accumulated deltas into the state
     /// machine and updates consumption tracking from the per-block
-    /// distinct-candidate lists — the parallel ingestion path.
+    /// candidate columns — the parallel ingestion path.
     pub fn merge_batch(&mut self, acc: HistAccumulator, blocks: &[BlockTouch]) {
         self.hs.merge(acc);
         let hs = &mut self.hs;
@@ -96,11 +93,17 @@ impl Driver {
             self.tracker
                 .block_read(bt.id as usize, &bt.candidates, |c| hs.mark_exact(c));
         }
+        self.blocks_unread -= blocks.len();
     }
 
     /// Advances the state machine through every phase whose demand is
-    /// already satisfied.
+    /// already satisfied — or, once every block of the table has been
+    /// ingested, finishes it exactly: the counts then *are* the true
+    /// histograms, whichever phase the run was in.
     pub fn advance(&mut self) -> Result<()> {
+        if self.blocks_unread == 0 && !self.hs.is_done() {
+            return self.hs.complete_io_phase(true);
+        }
         while self.hs.io_satisfied() && !self.hs.is_done() {
             self.hs.complete_io_phase(false)?;
         }
@@ -123,13 +126,20 @@ impl Driver {
         Ok(())
     }
 
-    /// Finishes the run in exact mode: the entire table has been consumed.
+    /// Finishes a run whose executor has walked the entire table. Every
+    /// block was ingested, so [`Self::advance`] finishes exactly; a
+    /// block the executor lost track of is a protocol bug, reported
+    /// rather than passed off as an exact finish.
     pub fn finish_exhausted(&mut self) -> Result<()> {
         self.advance()?;
-        if !self.hs.is_done() {
-            self.hs.complete_io_phase(true)?;
+        if self.hs.is_done() {
+            Ok(())
+        } else {
+            Err(CoreError::PhaseViolation(format!(
+                "table reported exhausted with {} blocks never ingested",
+                self.blocks_unread
+            )))
         }
-        Ok(())
     }
 
     /// Extracts the output and packages it with run statistics.

@@ -104,12 +104,12 @@ impl ParallelMatchExec {
 /// track exactly which workers are parked versus gone — counting
 /// anonymous messages is not enough (see `stats_loop`).
 enum Msg {
-    /// A batch of accumulated deltas plus the per-block distinct-candidate
-    /// lists (for consumption tracking).
+    /// A batch of accumulated deltas plus the per-block candidate
+    /// columns (for consumption tracking).
     Batch {
         /// Phase-free count deltas of every block in `blocks`.
         acc: HistAccumulator,
-        /// Distinct candidates per read block, in read order.
+        /// Candidate column per read block, in read order.
         blocks: Vec<BlockTouch>,
     },
     /// Worker `.0` finished a full pass over its shard without reading a
@@ -219,11 +219,6 @@ fn shard_worker(
     let mut marks = vec![false; MARK_WINDOW];
 
     let mut acc = HistAccumulator::new(nc, ng);
-    // Per-block delta buffer: its touched list after accumulating one
-    // block *is* that block's distinct-candidate set (for consumption
-    // tracking), so the tuples are traversed exactly once — no more
-    // sort-and-dedup second pass.
-    let mut block_acc = HistAccumulator::new(nc, ng);
     let mut blocks: Vec<BlockTouch> = Vec::new();
 
     // A pass walks the shard from its rotated start as two contiguous
@@ -283,13 +278,11 @@ fn shard_worker(
                                 break 'outer;
                             }
                         };
-                        block_acc.accumulate(zs, xs);
+                        acc.accumulate(zs, xs);
                         blocks.push(BlockTouch {
                             id: b as u32,
-                            candidates: block_acc.touched().to_vec(),
+                            candidates: zs.to_vec(),
                         });
-                        acc.merge_from(&block_acc);
-                        block_acc.clear();
                         if blocks.len() >= batch_blocks {
                             let msg = Msg::Batch {
                                 acc: std::mem::replace(&mut acc, HistAccumulator::new(nc, ng)),

@@ -48,14 +48,21 @@ impl ConsumptionTracker {
         let stamp = block_id as u32 + 1;
         for &c in candidates_in_block {
             let ci = c as usize;
-            if self.last_stamp[ci] != stamp {
-                self.last_stamp[ci] = stamp;
-                let left = &mut self.blocks_left[ci];
-                debug_assert!(*left > 0, "candidate {c} read in more blocks than indexed");
-                *left -= 1;
-                if *left == 0 {
-                    on_consumed(c);
-                }
+            // Branch-free first-sighting test: whether a tuple's
+            // candidate was already seen in this block is data-dependent
+            // and mispredicts often, so the decrement is applied as 0/1
+            // and only the (rare) consumption event branches, on one
+            // integer test (`left == 0` and a first sighting).
+            let first = self.last_stamp[ci] != stamp;
+            self.last_stamp[ci] = stamp;
+            let left = &mut self.blocks_left[ci];
+            debug_assert!(
+                !first || *left > 0,
+                "candidate {c} read in more blocks than indexed"
+            );
+            *left -= u32::from(first);
+            if (*left | u32::from(!first)) == 0 {
+                on_consumed(c);
             }
         }
     }

@@ -695,9 +695,6 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
     let job = &query.job;
     let lo = task.reader.blocks().start;
     let mut acc = HistAccumulator::new(job.num_candidates(), job.num_groups());
-    // Per-block delta buffer; its touched list is the block's distinct
-    // candidates (one traversal per block, as in `shard_worker`).
-    let mut block_acc = HistAccumulator::new(job.num_candidates(), job.num_groups());
     let mut touches: Vec<BlockTouch> = Vec::new();
     let mut reads = 0usize;
     let mut marks = vec![false; MARK_WINDOW];
@@ -770,13 +767,11 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
                         break 'quantum;
                     }
                 };
-                block_acc.accumulate(zs, xs);
+                acc.accumulate(zs, xs);
                 touches.push(BlockTouch {
                     id: b as u32,
-                    candidates: block_acc.touched().to_vec(),
+                    candidates: zs.to_vec(),
                 });
-                acc.merge_from(&block_acc);
-                block_acc.clear();
             } else if skip_from.is_none() {
                 skip_from = Some(li);
             }

@@ -203,6 +203,69 @@ fn tiny_table_degenerates_to_exact() {
     }
 }
 
+/// A run that read every block of the table has exact counts, and must
+/// say so: `exact_finish` is documented as "the run ended by consuming
+/// the entire table". On a table smaller than the stage-1 budget every
+/// HistSim executor (and the query service) reads everything; the last
+/// block marks every candidate exact, which must not divert the finish
+/// onto the statistical path.
+#[test]
+fn full_table_reads_finish_exactly() {
+    let rows = 5_000;
+    let table = test_table(rows, 5);
+    let gt = ground_truth(&table);
+    let layout = BlockLayout::new(table.n_rows(), 64);
+    let bitmap = BitmapIndex::build(&table, 0, &layout);
+    let cfg = config();
+    let job = QueryJob::new(&table, layout, &bitmap, 0, 1, uniform(8), cfg.clone());
+    let nb = layout.num_blocks() as u64;
+    let execs: Vec<Box<dyn Executor>> = vec![
+        Box::new(ScanMatchExec),
+        Box::new(SyncMatchExec),
+        Box::new(FastMatchExec::with_lookahead(16)),
+        Box::new(ParallelMatchExec::with_shards(1)),
+        Box::new(ParallelMatchExec::with_shards(3)),
+    ];
+    let mut outs: Vec<(String, fastmatch_engine::result::MatchOutput)> = execs
+        .iter()
+        .map(|e| {
+            let out = e
+                .run(&job, 13)
+                .unwrap_or_else(|err| panic!("{}: {err}", e.name()));
+            (e.name().to_string(), out)
+        })
+        .collect();
+    let backend = MemBackend::new(&table, layout);
+    let outcome = QueryService::serve(&backend, ServiceConfig::default().with_workers(2), |svc| {
+        svc.submit(QueryRequest::new(&bitmap, 0, 1, uniform(8), cfg.clone()).with_seed(13))
+            .unwrap()
+            .wait()
+    });
+    let served = outcome
+        .finished()
+        .unwrap_or_else(|| panic!("service: {outcome:?}"));
+    outs.push(("service".to_string(), served.clone()));
+    for (name, out) in &outs {
+        assert_eq!(
+            out.stats.io.blocks_read, nb,
+            "{name}: a table below the stage-1 budget must be read in full"
+        );
+        assert!(
+            out.stats.exact_finish,
+            "{name}: full read without exact finish"
+        );
+        let ids = out.candidate_ids();
+        assert!(
+            gt.check_separation(&ids, cfg.epsilon, cfg.sigma),
+            "{name}: separation violated"
+        );
+        assert!(
+            gt.check_reconstruction(&out.output.matches, cfg.epsilon),
+            "{name}: reconstruction violated"
+        );
+    }
+}
+
 #[test]
 fn sigma_zero_disables_pruning() {
     let rows = 100_000;
