@@ -1,4 +1,4 @@
-//! Randomized-schedule soaks over the five protocol models.
+//! Randomized-schedule soaks over the four protocol models.
 //!
 //! Two tiers:
 //!
@@ -15,9 +15,7 @@
 //! workers, more rounds, more tasks — trading completeness for reach.
 
 use fastmatch_check::explorer::{Explorer, Model};
-use fastmatch_check::models::{
-    AdmissionSteal, DemandPublish, LiveLifecycle, ParkExit, WalRecovery,
-};
+use fastmatch_check::models::{AdmissionSteal, DemandPublish, LiveLifecycle, WalRecovery};
 
 /// Fixed seed for the CI slices; the long soaks perturb it per chunk.
 const SEED: u64 = 0xfa57_4a7c_0dec_0de5;
@@ -58,12 +56,17 @@ fn demand_publish() -> DemandPublish {
     DemandPublish::new(4, 3, 4)
 }
 
-fn park_exit() -> ParkExit {
-    ParkExit::new(vec![(2, 1), (0, 2), (1, 0), (0, 1)])
+fn admission_steal() -> AdmissionSteal {
+    AdmissionSteal::new(3, vec![2, 1, 3, 1], 3).with_query(vec![(2, 1), (0, 2), (1, 0), (0, 1)])
 }
 
-fn admission_steal() -> AdmissionSteal {
-    AdmissionSteal::new(3, vec![2, 1, 3, 1], 3)
+/// A parking-heavy scope of the same model: two multi-shard queries
+/// whose shards mostly hold blocks only the stuck valve makes readable,
+/// with fewer workers than shards.
+fn shard_parking() -> AdmissionSteal {
+    AdmissionSteal::new(2, vec![], 2)
+        .with_query(vec![(2, 1), (0, 2), (1, 0), (0, 1)])
+        .with_query(vec![(0, 0), (0, 2), (0, 1)])
 }
 
 fn live_lifecycle() -> LiveLifecycle {
@@ -80,13 +83,13 @@ fn demand_publish_soak_slice() {
 }
 
 #[test]
-fn park_exit_soak_slice() {
-    soak(park_exit(), SLICE);
+fn admission_steal_soak_slice() {
+    soak(admission_steal(), SLICE);
 }
 
 #[test]
-fn admission_steal_soak_slice() {
-    soak(admission_steal(), SLICE);
+fn shard_parking_soak_slice() {
+    soak(shard_parking(), SLICE);
 }
 
 #[test]
@@ -107,14 +110,14 @@ fn demand_publish_soak_long() {
 
 #[test]
 #[ignore = "long soak; run with --ignored, scale with FASTMATCH_CHECK_ITERS"]
-fn park_exit_soak_long() {
-    soak(park_exit(), long_iters());
+fn admission_steal_soak_long() {
+    soak(admission_steal(), long_iters());
 }
 
 #[test]
 #[ignore = "long soak; run with --ignored, scale with FASTMATCH_CHECK_ITERS"]
-fn admission_steal_soak_long() {
-    soak(admission_steal(), long_iters());
+fn shard_parking_soak_long() {
+    soak(shard_parking(), long_iters());
 }
 
 #[test]

@@ -6,8 +6,8 @@
 //! advance phases whenever demand is met, publish fresh demand to any
 //! sampling-engine threads, and package the output with run statistics.
 //! [`Driver`] owns exactly that scaffolding so `ScanMatch`/`SyncMatch`
-//! (sequential), `FastMatch` (async lookahead) and `ParallelMatch`
-//! (sharded workers) differ only in *how blocks are chosen and delivered*,
+//! (sequential), `FastMatch` (async lookahead) and the service's shard
+//! quanta (behind `ParallelMatch`) differ only in *how blocks are chosen and delivered*,
 //! not in how HistSim is driven.
 
 use std::time::Instant;
@@ -21,9 +21,9 @@ use crate::query::QueryJob;
 use crate::result::{MatchOutput, RunStats};
 use crate::shared::{DemandMode, SharedDemand};
 
-/// The candidate column of one block delivered by a shard worker, so the
-/// statistics thread can maintain consumption tracking without re-reading
-/// the block.
+/// The candidate column of one block read by a shard quantum, so the
+/// merge can maintain consumption tracking without re-reading the
+/// block.
 #[derive(Debug)]
 pub(crate) struct BlockTouch {
     /// Block id.
@@ -154,5 +154,51 @@ impl Driver {
             pruned: output.diagnostics.pruned_candidates,
         };
         Ok(MatchOutput { output, stats })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fastmatch_core::histsim::HistSimConfig;
+    use fastmatch_store::bitmap::BitmapIndex;
+    use fastmatch_store::block::BlockLayout;
+    use fastmatch_store::schema::{AttrDef, Schema};
+    use fastmatch_store::table::Table;
+
+    /// An exact finish needs every block ingested: a walk that claims
+    /// exhaustion with a block missing is a protocol bug, reported as an
+    /// error rather than passed off as exact.
+    #[test]
+    fn exact_finish_only_when_every_block_is_ingested() {
+        let schema = Schema::new(vec![AttrDef::new("z", 2), AttrDef::new("x", 2)]);
+        let table = Table::new(schema, vec![vec![0, 1, 0, 1], vec![0, 0, 1, 1]]);
+        let layout = BlockLayout::new(4, 2); // 2 blocks
+        let bitmap = BitmapIndex::build(&table, 0, &layout);
+        let job = QueryJob::new(
+            &table,
+            layout,
+            &bitmap,
+            0,
+            1,
+            vec![0.5, 0.5],
+            HistSimConfig {
+                k: 1,
+                stage1_samples: 1_000,
+                ..HistSimConfig::default()
+            },
+        );
+        let mut reader = job.reader();
+        let mut d = Driver::new(&job).unwrap();
+        let (zs, xs) = reader.block_slices(0, 0, 1);
+        d.ingest_block(0, zs, xs);
+        assert!(matches!(
+            d.finish_exhausted(),
+            Err(CoreError::PhaseViolation(_))
+        ));
+        let (zs, xs) = reader.block_slices(1, 0, 1);
+        d.ingest_block(1, zs, xs);
+        d.finish_exhausted().unwrap();
+        assert!(d.finish(IoStats::default()).unwrap().stats.exact_finish);
     }
 }

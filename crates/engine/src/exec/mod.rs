@@ -18,7 +18,7 @@ mod scan_match;
 mod sync_match;
 
 pub use fast_match::FastMatchExec;
-pub use parallel_match::{all_live_parked, ParallelMatchExec};
+pub use parallel_match::ParallelMatchExec;
 pub use scan::ScanExec;
 pub use scan_match::ScanMatchExec;
 pub use sync_match::SyncMatchExec;

@@ -3,63 +3,42 @@
 //! FastMatch (paper §4) decouples *block selection* from the statistics
 //! engine but still funnels every tuple through one ingesting core.
 //! `ParallelMatch` removes that ceiling by splitting ingestion itself:
+//! it runs its one query on a private [`QueryService`] with one worker
+//! and one shard per core, and waits for the outcome.
 //!
-//! * `N` **shard workers** each own a disjoint contiguous block range
-//!   (a [`ShardedBlockReader`]), walk it in lookahead windows applying the
-//!   same AnyActive marking as FastMatch's sampling engine (Algorithm 3),
-//!   and fold the tuples of read blocks into phase-free
-//!   [`HistAccumulator`] deltas — no locks, no shared mutable state;
-//! * the **statistics engine** (caller thread) receives accumulator
-//!   batches over a bounded channel, merges them into the authoritative
-//!   [`HistSim`](fastmatch_core::histsim::HistSim) via the shared
-//!   [`Driver`], advances phases, and publishes fresh per-candidate demand
-//!   through [`SharedDemand`] — the same phase/demand protocol every other
-//!   executor honors.
-//!
-//! Workers see demand snapshots that may be slightly stale, exactly like
-//! FastMatch's lookahead thread: stale reads only deliver extra valid
-//! samples (the table is pre-permuted, so any block set is a uniform
-//! without-replacement sample), trading a bounded amount of over-reading
-//! for never stalling any core. Each worker multi-passes its shard so
-//! blocks skipped under one round's demand stay eligible for later
-//! rounds; a worker whose shard is fully consumed reports exhaustion and
-//! exits. When every shard is exhausted the table has been fully
-//! consumed and the run finishes with exact results.
+//! Each shard task multi-passes its own block range with FastMatch's
+//! AnyActive marking (Algorithm 3), folds a quantum's blocks into a
+//! phase-free [`HistAccumulator`](fastmatch_core::histsim::HistAccumulator)
+//! batch and merges it into the authoritative state machine, which
+//! advances phases and republishes demand. Stale demand snapshots only
+//! deliver extra valid samples (any block set of the pre-permuted table
+//! is a uniform sample), so no core ever stalls. When every shard has
+//! consumed its range the run finishes with exact results.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
-use std::time::Duration;
+use fastmatch_core::error::Result;
 
-use fastmatch_core::error::{CoreError, Result};
-use fastmatch_core::histsim::HistAccumulator;
-use fastmatch_store::io::{IoStats, ShardedBlockReader};
-
-use crate::exec::driver::{BlockTouch, Driver};
 use crate::exec::Executor;
-use crate::policy::mark_lookahead;
 use crate::query::QueryJob;
 use crate::result::MatchOutput;
-use crate::shared::{DemandMode, SharedDemand};
+use crate::service::{QuantumPolicy, QueryOutcome, QueryService, ServiceConfig, ServiceError};
 
 /// Default number of shard workers: the machine's parallelism, capped —
 /// beyond a handful of cores the statistics engine's merge becomes the
 /// bottleneck before ingestion does.
 pub const DEFAULT_SHARDS: usize = 4;
 
-/// Blocks accumulated per batch message. Larger batches amortize channel
-/// and merge overhead; smaller ones bound demand staleness and stage
-/// overshoot. 32 blocks ≈ 4800 tuples at the paper's block size.
+/// Blocks read per scheduling quantum, i.e. per merged batch. Larger
+/// batches amortize scheduling and merge overhead; smaller ones bound
+/// demand staleness and stage overshoot. 32 blocks ≈ 4800 tuples at the
+/// paper's block size.
 pub const DEFAULT_BATCH_BLOCKS: usize = 32;
-
-/// Lookahead window used for AnyActive marking inside each shard.
-const MARK_WINDOW: usize = 256;
 
 /// The shard-parallel executor.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelMatchExec {
     /// Number of shard workers (and block-range shards).
     pub shards: usize,
-    /// Blocks per accumulator batch.
+    /// Blocks per accumulator batch: the private service's quantum.
     pub batch_blocks: usize,
 }
 
@@ -87,40 +66,6 @@ impl ParallelMatchExec {
             batch_blocks: DEFAULT_BATCH_BLOCKS,
         }
     }
-
-    /// Sets the number of blocks per accumulator batch.
-    ///
-    /// # Panics
-    /// Panics if `batch_blocks` is zero.
-    pub fn with_batch_blocks(mut self, batch_blocks: usize) -> Self {
-        assert!(batch_blocks > 0, "batch size must be positive");
-        self.batch_blocks = batch_blocks;
-        self
-    }
-}
-
-/// One message from a shard worker to the statistics engine. Idle and
-/// exit messages carry the worker's index so the statistics engine can
-/// track exactly which workers are parked versus gone — counting
-/// anonymous messages is not enough (see `stats_loop`).
-enum Msg {
-    /// A batch of accumulated deltas plus the per-block candidate
-    /// columns (for consumption tracking).
-    Batch {
-        /// Phase-free count deltas of every block in `blocks`.
-        acc: HistAccumulator,
-        /// Candidate column per read block, in read order.
-        blocks: Vec<BlockTouch>,
-    },
-    /// Worker `.0` finished a full pass over its shard without reading a
-    /// single block and is parking until demand changes.
-    IdlePass(usize),
-    /// Worker `.0`'s shard is fully consumed (or was empty); it has
-    /// exited.
-    ShardExhausted(usize),
-    /// A worker hit a storage failure (I/O error, corrupt page) and has
-    /// exited; the run must fail with this error.
-    Failed(CoreError),
 }
 
 impl Executor for ParallelMatchExec {
@@ -129,405 +74,29 @@ impl Executor for ParallelMatchExec {
     }
 
     fn run(&self, job: &QueryJob<'_>, seed: u64) -> Result<MatchOutput> {
-        let mut d = Driver::new(job)?;
-        let nb = job.layout.num_blocks();
         // Never spawn more workers than blocks: the extra shards would be
-        // empty. (An empty shard is still handled gracefully by
-        // `shard_worker` — it reports exhaustion and exits immediately —
-        // but correctness should not depend on this clamp alone.)
-        let shards = self.shards.min(nb).max(1);
-        let batch_blocks = self.batch_blocks;
-
-        let shared = Arc::new(SharedDemand::new(job.num_candidates()));
-        shared.set_mode(DemandMode::ReadAll); // stage 1
-
-        // Bounded to 2 in-flight batches per worker: backpressure keeps
-        // workers from racing arbitrarily far ahead of the merge.
-        let (tx, rx) = sync_channel::<Msg>(2 * shards);
-        let reader = job.reader();
-
-        let mut result: Option<Result<()>> = None;
-        let mut io = IoStats::default();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|w| {
-                    let shard_reader = reader.shard(w, shards);
-                    // Seed-derived start offset within the shard: repeated
-                    // runs draw different samples, mirroring the random
-                    // scan start of the sequential executors.
-                    let start = crate::exec::start_block(
-                        shard_reader.num_blocks(),
-                        seed.wrapping_add(w as u64).wrapping_mul(0x9e37_79b9),
-                    );
-                    let tx = tx.clone();
-                    let shared = Arc::clone(&shared);
-                    scope.spawn(move || {
-                        shard_worker(job, w, shard_reader, &shared, tx, batch_blocks, start)
-                    })
-                })
-                .collect();
-            drop(tx); // the statistics engine holds only the receiver
-            let r = stats_loop(&mut d, &shared, rx, shards);
-            shared.set_mode(DemandMode::Stop);
-            // Workers are unblocked (receiver dropped, mode = Stop): join
-            // them and aggregate the per-shard I/O accounting, wasted
-            // reads included — the same accounting basis as FastMatch.
-            io = handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .sum();
-            result = Some(r);
-        });
-        result.expect("scope completed")?;
-        d.finish(io)
-    }
-}
-
-/// One shard worker: multi-pass AnyActive walk over its block range
-/// (rotated by `start` so the seed varies the sample), producing
-/// accumulator batches. Returns the shard's I/O accounting.
-///
-/// KEEP IN SYNC with `run_quantum` in `service/mod.rs`, which runs the
-/// same walk in resumable bounded quanta for the multi-query service —
-/// a behavioral fix to demand marking or pass bookkeeping here almost
-/// certainly applies there too.
-///
-/// An **empty** shard (possible when a caller shards a reader more ways
-/// than there are blocks) reports exhaustion and exits immediately — it
-/// must never park waiting for an epoch, because with nothing to read no
-/// demand change could ever release it.
-fn shard_worker(
-    job: &QueryJob<'_>,
-    w: usize,
-    mut reader: ShardedBlockReader<'_>,
-    shared: &SharedDemand,
-    tx: SyncSender<Msg>,
-    batch_blocks: usize,
-    start: usize,
-) -> IoStats {
-    let range = reader.blocks();
-    let lo = range.start;
-    let n_local = range.len();
-    if n_local == 0 {
-        let _ = tx.send(Msg::ShardExhausted(w));
-        return reader.stats();
-    }
-    let nc = job.num_candidates();
-    let ng = job.num_groups();
-    let mut visited = vec![false; n_local];
-    let mut visited_count = 0usize;
-    let mut marks = vec![false; MARK_WINDOW];
-
-    let mut acc = HistAccumulator::new(nc, ng);
-    let mut blocks: Vec<BlockTouch> = Vec::new();
-
-    // A pass walks the shard from its rotated start as two contiguous
-    // segments (local offsets), so window marking never wraps.
-    let start = start % n_local;
-    let segments = [(start, n_local - start), (0, start)];
-
-    'outer: loop {
-        let pass_epoch = shared.epoch();
-        let mut read_this_pass = false;
-        for &(seg_start, seg_len) in &segments {
-            let mut off = 0usize;
-            while off < seg_len {
-                let mode = shared.mode();
-                let win = MARK_WINDOW.min(seg_len - off);
-                let seg_off = seg_start + off;
-                match mode {
-                    DemandMode::Stop => break 'outer,
-                    DemandMode::ReadAll => marks[..win].fill(true),
-                    DemandMode::AnyActive => {
-                        marks[..win].fill(false);
-                        let active = shared.active_candidates();
-                        mark_lookahead(&job.bitmap, &active, lo + seg_off, &mut marks[..win]);
-                    }
-                }
-                // Hint this window's read-runs to the backend's
-                // prefetcher before ingesting it: the readahead workers
-                // warm the window's later blocks while this worker
-                // accumulates the earlier ones.
-                crate::exec::prefetch_marked(job, lo, seg_off, &marks[..win], &visited);
-                // Unvisited-unmarked blocks are skipped in maximal
-                // contiguous runs through the range-validated bulk API.
-                let mut skip_from: Option<usize> = None;
-                for (i, &marked) in marks[..win].iter().enumerate() {
-                    let li = seg_off + i;
-                    if visited[li] || marked {
-                        if let Some(s) = skip_from.take() {
-                            reader.skip_blocks(lo + s..lo + li);
-                        }
-                    }
-                    if visited[li] {
-                        continue;
-                    }
-                    let b = lo + li;
-                    if marked {
-                        visited[li] = true;
-                        visited_count += 1;
-                        read_this_pass = true;
-                        // A storage failure (I/O error, corrupt page) ends
-                        // the worker and fails the whole run through the
-                        // statistics engine — same error contract as the
-                        // sequential executors, no panic.
-                        let (zs, xs) = match reader.try_block_slices(b, job.z_attr, job.x_attr) {
-                            Ok(pair) => pair,
-                            Err(e) => {
-                                let _ = tx.send(Msg::Failed(crate::exec::storage_err(e)));
-                                break 'outer;
-                            }
-                        };
-                        acc.accumulate(zs, xs);
-                        blocks.push(BlockTouch {
-                            id: b as u32,
-                            candidates: zs.to_vec(),
-                        });
-                        if blocks.len() >= batch_blocks {
-                            let msg = Msg::Batch {
-                                acc: std::mem::replace(&mut acc, HistAccumulator::new(nc, ng)),
-                                blocks: std::mem::take(&mut blocks),
-                            };
-                            if tx.send(msg).is_err() {
-                                break 'outer;
-                            }
-                        }
-                    } else if skip_from.is_none() {
-                        skip_from = Some(li);
-                    }
-                }
-                if let Some(s) = skip_from.take() {
-                    reader.skip_blocks(lo + s..lo + seg_off + win);
-                }
-                off += win;
-            }
-        }
-        // Flush the pass's partial batch so the statistics engine always
-        // sees completed passes promptly.
-        if !acc.is_empty() {
-            let msg = Msg::Batch {
-                acc: std::mem::replace(&mut acc, HistAccumulator::new(nc, ng)),
-                blocks: std::mem::take(&mut blocks),
-            };
-            if tx.send(msg).is_err() {
-                break;
-            }
-        }
-        if visited_count == n_local {
-            let _ = tx.send(Msg::ShardExhausted(w));
-            break;
-        }
-        if !read_this_pass {
-            // Nothing readable under the demand snapshot this pass saw:
-            // tell the statistics engine (its stuck-detection valve) and
-            // wait for a new epoch (or stop) instead of re-marking
-            // identical state.
-            if tx.send(Msg::IdlePass(w)).is_err() {
-                break;
-            }
-            while shared.epoch() == pass_epoch && shared.mode() != DemandMode::Stop {
-                std::thread::sleep(Duration::from_micros(20));
-            }
-        }
-    }
-    reader.stats()
-}
-
-/// The statistics engine: merges worker batches into the state machine and
-/// republishes demand. I/O accounting lives in the per-shard readers and
-/// is aggregated by the caller after joining the workers.
-fn stats_loop(
-    d: &mut Driver,
-    shared: &SharedDemand,
-    rx: Receiver<Msg>,
-    shards: usize,
-) -> Result<()> {
-    // Per-worker liveness: which workers have exited (shard consumed or
-    // empty) and which are currently parked after an idle pass. Both are
-    // tracked by worker id — an anonymous tally would go stale the moment
-    // a worker exits, which is exactly how the old accounting could
-    // deadlock: with the last live workers already parked, a late
-    // `ShardExhausted` shrank the live count without re-running the
-    // all-parked check, so nobody ever bumped the epoch again.
-    let mut exhausted = vec![false; shards];
-    let mut idle = vec![false; shards];
-    // Stuck-detection valve (the parallel analogue of the sequential
-    // executors' idle-pass check): when every live worker is parked with
-    // no merge in between, demand should be impossible — a candidate
-    // needing samples implies an unread block in some shard. Re-publish
-    // to give workers a fresh epoch, and fail loudly rather than hang if
-    // that happens repeatedly. The valve only errors; it must never
-    // silently degrade the run (e.g. by forcing an exact finish the data
-    // does not justify).
-    let mut stuck_rounds = 0u32;
-
-    // The initial phase may already be satisfied (degenerate configs).
-    d.advance_and_publish(shared)?;
-
-    while !d.hs.is_done() {
-        let msg = match rx.recv() {
-            Ok(m) => m,
-            Err(_) => {
-                // All workers exited. Only a full set of exhaustion
-                // reports makes finishing exact sound; anything else is a
-                // protocol bug that must not masquerade as completion.
-                if exhausted.iter().all(|&e| e) {
-                    d.finish_exhausted()?;
-                    break;
-                }
-                return Err(CoreError::PhaseViolation(
-                    "shard workers exited with open demand and unconsumed blocks".into(),
-                ));
-            }
+        // empty. (An empty shard still retires on its first quantum, but
+        // an idle thread per missing block buys nothing.)
+        let shards = self.shards.min(job.layout.num_blocks()).max(1);
+        let config = ServiceConfig {
+            workers: shards,
+            shards_per_query: shards,
+            quantum_blocks: self.batch_blocks,
+            quantum: QuantumPolicy::Fixed,
+            work_stealing: true,
+            max_admitted: 1,
         };
-        match msg {
-            Msg::Batch { acc, blocks } => {
-                // The merge below republishes (bumping the epoch), which
-                // wakes every parked worker for a fresh pass.
-                idle.iter_mut().for_each(|f| *f = false);
-                stuck_rounds = 0;
-                d.merge_batch(acc, &blocks);
-                d.advance_and_publish(shared)?;
-            }
-            Msg::IdlePass(w) => {
-                idle[w] = true;
-                wake_if_all_parked(d, shared, &mut idle, &exhausted, &mut stuck_rounds)?;
-            }
-            Msg::ShardExhausted(w) => {
-                exhausted[w] = true;
-                idle[w] = false;
-                if exhausted.iter().all(|&e| e) {
-                    if !d.hs.is_done() {
-                        d.finish_exhausted()?;
-                    }
-                } else {
-                    // The live set shrank: the remaining workers may all
-                    // be parked already, so the all-parked check must be
-                    // re-evaluated here too.
-                    wake_if_all_parked(d, shared, &mut idle, &exhausted, &mut stuck_rounds)?;
-                }
-            }
-            // A storage failure in any shard fails the run with that
-            // error; the caller's cleanup (Stop + receiver drop) unwinds
-            // the surviving workers.
-            Msg::Failed(e) => return Err(e),
-        }
-    }
-    shared.set_mode(DemandMode::Stop);
-    drop(rx); // unblock workers parked on a full channel
-
-    Ok(())
-}
-
-/// The park/exit tally decision: is every still-live worker parked?
-///
-/// Extracted as a pure function because this predicate *is* the PR-2
-/// deadlock fix: it must be evaluated against the by-id `idle` /
-/// `exhausted` sets (and re-evaluated whenever the live set shrinks),
-/// not against an anonymous running count. Both call sites —
-/// `wake_if_all_parked` here and the quantum scheduler's analogue in
-/// `service/state.rs` — and `fastmatch-check`'s `park_exit` model (which
-/// keeps the historical anonymous tally as a mutation and shows it
-/// deadlocks) share this definition. Invariant name in DESIGN.md:
-/// `all-parked-implies-wake`.
-pub fn all_live_parked(idle: &[bool], exhausted: &[bool]) -> bool {
-    debug_assert_eq!(idle.len(), exhausted.len());
-    let live = exhausted.iter().filter(|&&e| !e).count();
-    if live == 0 {
-        return false;
-    }
-    let parked = idle
-        .iter()
-        .zip(exhausted)
-        .filter(|&(&i, &e)| i && !e)
-        .count();
-    parked >= live
-}
-
-/// If every still-live worker is parked after an idle pass, republish the
-/// demand snapshot (bumping the epoch wakes them all) and count a stuck
-/// round; after too many consecutive stuck rounds, fail loudly.
-fn wake_if_all_parked(
-    d: &mut Driver,
-    shared: &SharedDemand,
-    idle: &mut [bool],
-    exhausted: &[bool],
-    stuck_rounds: &mut u32,
-) -> Result<()> {
-    if !all_live_parked(idle, exhausted) {
-        return Ok(());
-    }
-    idle.iter_mut().for_each(|f| *f = false);
-    *stuck_rounds += 1;
-    if *stuck_rounds >= 16 {
-        return Err(CoreError::PhaseViolation(
-            "no readable blocks for outstanding demand".into(),
-        ));
-    }
-    d.advance_and_publish(shared)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fastmatch_core::histsim::HistSimConfig;
-    use fastmatch_store::bitmap::BitmapIndex;
-    use fastmatch_store::block::BlockLayout;
-    use fastmatch_store::schema::{AttrDef, Schema};
-    use fastmatch_store::table::Table;
-
-    #[test]
-    fn all_live_parked_tracks_identity_not_counts() {
-        // No workers / all exhausted: nothing to wake.
-        assert!(!all_live_parked(&[], &[]));
-        assert!(!all_live_parked(&[false, false], &[true, true]));
-        // The PR-2 scenario: one worker parked, the other exhausted —
-        // the live set is exactly the parked set, so a wake is due.
-        assert!(all_live_parked(&[true, false], &[false, true]));
-        // A live, running worker means no wake yet.
-        assert!(!all_live_parked(&[true, false], &[false, false]));
-        // A stale idle flag on an exhausted worker must not count
-        // toward the parked tally (identity, not anonymous counts).
-        assert!(!all_live_parked(&[false, true], &[false, true]));
-    }
-
-    /// An empty shard (shard count > block count, below the executor's
-    /// clamp) must make the worker report exhaustion and return at once —
-    /// never park on an epoch that cannot change for it.
-    #[test]
-    fn empty_shard_worker_reports_exhaustion_and_exits() {
-        let schema = Schema::new(vec![AttrDef::new("z", 2), AttrDef::new("x", 2)]);
-        let table = Table::new(schema, vec![vec![0, 1, 0, 1, 0, 1], vec![0, 0, 1, 1, 0, 1]]);
-        let layout = BlockLayout::new(6, 3); // 2 blocks
-        let bitmap = BitmapIndex::build(&table, 0, &layout);
-        let job = QueryJob::new(
-            &table,
-            layout,
-            &bitmap,
-            0,
-            1,
-            vec![0.5, 0.5],
-            HistSimConfig::default(),
-        );
-        let shared = SharedDemand::new(job.num_candidates());
-        let (tx, rx) = sync_channel::<Msg>(4);
-        let reader = job.reader().shard(3, 4); // of 2 blocks: empty
-        assert_eq!(reader.num_blocks(), 0);
-        // Never publish any demand: a parking worker would hang forever,
-        // so returning at all proves the early exit.
-        let stats = shard_worker(&job, 3, reader, &shared, tx, 8, 0);
-        assert_eq!(stats, IoStats::default());
-        match rx.try_recv() {
-            Ok(Msg::ShardExhausted(3)) => {}
-            other => panic!(
-                "expected ShardExhausted(3), got {:?}",
-                other.map(|m| match m {
-                    Msg::Batch { .. } => "Batch",
-                    Msg::IdlePass(_) => "IdlePass",
-                    Msg::ShardExhausted(_) => "ShardExhausted",
-                    Msg::Failed(_) => "Failed",
-                })
-            ),
+        let outcome = job.with_backend(|backend| {
+            QueryService::serve(backend, config, |svc| {
+                svc.admit(job.clone(), seed, None).map(|h| h.wait())
+            })
+        });
+        match outcome {
+            Ok(QueryOutcome::Finished(out)) => Ok(out),
+            Ok(QueryOutcome::Failed(e)) | Err(ServiceError::Invalid(e)) => Err(e),
+            // Nothing cancels the query, it has no deadline, and the
+            // private service admits it alone and shuts down after it.
+            other => unreachable!("private service ended the query as {other:?}"),
         }
     }
 }

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use fastmatch_core::histsim::HistSimConfig;
-use fastmatch_store::backend::StorageBackend;
+use fastmatch_store::backend::{MemBackend, StorageBackend};
 use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::block::BlockLayout;
 use fastmatch_store::io::BlockReader;
@@ -51,7 +51,7 @@ impl std::ops::Deref for BitmapHandle<'_> {
 /// preprocessing — applied before persisting, for file-backed sources);
 /// the bitmap index must cover the candidate attribute under the same
 /// layout.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct QueryJob<'a> {
     /// The (shuffled) data source.
     source: Source<'a>,
@@ -245,6 +245,16 @@ impl<'a> QueryJob<'a> {
             Source::Mem(_) => {}
             Source::Backend(backend) => backend.prefetch(blocks),
             Source::Shared(backend) => backend.prefetch(blocks),
+        }
+    }
+
+    /// Runs `f` with the job's source viewed as a [`StorageBackend`] (an
+    /// in-memory table through a [`MemBackend`] over the job's layout).
+    pub(crate) fn with_backend<R>(&self, f: impl FnOnce(&dyn StorageBackend) -> R) -> R {
+        match &self.source {
+            Source::Mem(table) => f(&MemBackend::new(table, self.layout)),
+            Source::Backend(backend) => f(*backend),
+            Source::Shared(backend) => f(&**backend),
         }
     }
 

@@ -16,7 +16,9 @@ use fastmatch_core::error::CoreError;
 use fastmatch_core::histsim::PhaseKind;
 use fastmatch_store::io::IoStats;
 
+use crate::exec::driver::Driver;
 use crate::result::MatchOutput;
+use crate::service::state::EngineState;
 
 /// How much of HistSim's ε–δ contract the current (or final) result
 /// carries. Derived from the phase the state machine has reached: each
@@ -59,8 +61,9 @@ impl GuaranteeState {
     }
 }
 
-/// A progressive snapshot of one running query, refreshed after every
-/// merged ingestion quantum.
+/// A progressive snapshot of one running query, built from the query's
+/// statistics engine each time [`QueryHandle::progress`] is called, at
+/// O(|V_Z|·|V_X|) under the query's engine mutex.
 #[derive(Debug, Clone)]
 pub struct QueryProgress {
     /// The stage the query's state machine is in.
@@ -68,7 +71,7 @@ pub struct QueryProgress {
     /// The guarantee attached to `current_topk` right now.
     pub guarantee: GuaranteeState,
     /// The current best estimate of the top-k (closest first). Empty
-    /// until the first quantum merges.
+    /// until the first quantum merges a sample.
     pub current_topk: Vec<u32>,
     /// Samples ingested so far.
     pub samples: u64,
@@ -78,13 +81,23 @@ pub struct QueryProgress {
 }
 
 impl QueryProgress {
-    pub(crate) fn initial() -> Self {
+    /// The snapshot of a running statistics engine with `io` attributed.
+    pub(crate) fn of(d: &Driver, io: IoStats) -> Self {
+        let phase = d.hs.phase();
+        // `remaining_slice` holds one entry per candidate.
+        let samples = (0..d.hs.remaining_slice().len() as u32)
+            .map(|c| d.hs.samples_for(c))
+            .sum();
         QueryProgress {
-            phase: PhaseKind::Stage1,
-            guarantee: GuaranteeState::None,
-            current_topk: Vec::new(),
-            samples: 0,
-            io: IoStats::default(),
+            phase,
+            guarantee: GuaranteeState::from_phase(phase, d.hs.diagnostics().exact_finish),
+            current_topk: if samples == 0 && phase != PhaseKind::Done {
+                Vec::new()
+            } else {
+                d.hs.current_topk()
+            },
+            samples,
+            io,
         }
     }
 }
@@ -114,32 +127,26 @@ impl QueryOutcome {
     }
 }
 
-/// Handle-side shared state: cancellation flag, latest progress snapshot
-/// and the final outcome, all `'static` so handles outlive the scope that
-/// produced them.
+/// Handle-side shared state: cancellation flag, the query's engine
+/// mutex and the final outcome, all `'static` so handles outlive the
+/// scope that produced them.
 #[derive(Debug)]
 pub(crate) struct QueryShared {
     id: u64,
     cancel: AtomicBool,
-    inner: Mutex<HandleInner>,
+    /// Driver + accounting: the query's engine mutex.
+    pub(crate) engine: Mutex<EngineState>,
+    outcome: Mutex<Option<QueryOutcome>>,
     cv: Condvar,
 }
 
-#[derive(Debug)]
-struct HandleInner {
-    progress: QueryProgress,
-    outcome: Option<QueryOutcome>,
-}
-
 impl QueryShared {
-    pub(crate) fn new(id: u64) -> Self {
+    pub(crate) fn new(id: u64, engine: EngineState) -> Self {
         QueryShared {
             id,
             cancel: AtomicBool::new(false),
-            inner: Mutex::new(HandleInner {
-                progress: QueryProgress::initial(),
-                outcome: None,
-            }),
+            engine: Mutex::new(engine),
+            outcome: Mutex::new(None),
             cv: Condvar::new(),
         }
     }
@@ -148,32 +155,11 @@ impl QueryShared {
         self.cancel.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn set_progress(&self, progress: QueryProgress) {
-        let mut inner = self.inner.lock().unwrap();
-        // Never regress a terminal snapshot (a late quantum's update must
-        // not overwrite the outcome-time progress).
-        if inner.outcome.is_none() {
-            inner.progress = progress;
-        }
-    }
-
-    /// Publishes the terminal outcome. `progress` replaces the snapshot
-    /// only for finished queries; for cancelled/expired/failed ones the
-    /// last progressive snapshot is kept (it is the client's best-effort
-    /// answer) with just its I/O brought up to the final attribution.
-    pub(crate) fn publish_outcome(
-        &self,
-        progress: Option<QueryProgress>,
-        final_io: IoStats,
-        outcome: QueryOutcome,
-    ) {
-        let mut inner = self.inner.lock().unwrap();
-        debug_assert!(inner.outcome.is_none(), "outcome published twice");
-        match progress {
-            Some(p) => inner.progress = p,
-            None => inner.progress.io = final_io,
-        }
-        inner.outcome = Some(outcome);
+    /// Publishes the terminal outcome and wakes every waiter.
+    pub(crate) fn publish_outcome(&self, outcome: QueryOutcome) {
+        let mut slot = self.outcome.lock().unwrap();
+        debug_assert!(slot.is_none(), "outcome published twice");
+        *slot = Some(outcome);
         self.cv.notify_all();
     }
 }
@@ -190,10 +176,14 @@ impl QueryHandle {
         self.shared.id
     }
 
-    /// The latest progress snapshot (current top-k + guarantee state +
-    /// attributed I/O). Cheap: clones one small struct under a mutex.
+    /// The query's progress right now (current top-k + guarantee state +
+    /// attributed I/O), built on request: each call costs
+    /// O(|V_Z|·|V_X|) under the query's engine mutex, which the
+    /// service's workers need to merge their quanta. Once the query is
+    /// terminal this returns the snapshot taken when its last shard
+    /// retired — for a cancelled or expired query, its last state.
     pub fn progress(&self) -> QueryProgress {
-        self.shared.inner.lock().unwrap().progress.clone()
+        self.shared.engine.lock().unwrap().progress()
     }
 
     /// Requests cooperative cancellation. Workers observe the flag at
@@ -206,23 +196,23 @@ impl QueryHandle {
 
     /// Whether the final outcome is available.
     pub fn is_done(&self) -> bool {
-        self.shared.inner.lock().unwrap().outcome.is_some()
+        self.shared.outcome.lock().unwrap().is_some()
     }
 
     /// The final outcome, if available (non-blocking).
     pub fn try_outcome(&self) -> Option<QueryOutcome> {
-        self.shared.inner.lock().unwrap().outcome.clone()
+        self.shared.outcome.lock().unwrap().clone()
     }
 
     /// Blocks until the query reaches a terminal state and returns the
     /// outcome.
     pub fn wait(&self) -> QueryOutcome {
-        let mut inner = self.shared.inner.lock().unwrap();
+        let mut slot = self.shared.outcome.lock().unwrap();
         loop {
-            if let Some(out) = &inner.outcome {
+            if let Some(out) = &*slot {
                 return out.clone();
             }
-            inner = self.shared.cv.wait(inner).unwrap();
+            slot = self.shared.cv.wait(slot).unwrap();
         }
     }
 }

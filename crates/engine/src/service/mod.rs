@@ -28,19 +28,20 @@
 //!   readable under the query's current demand *park* and stop
 //!   consuming pool capacity until the query's demand epoch moves
 //!   (`state` module docs, crate-internal).
-//! * **Per-query protocol** — each query runs the same demand protocol
-//!   as `ParallelMatch`: shard quanta fill phase-free
+//! * **Per-query protocol** — shard quanta fill phase-free
 //!   [`HistAccumulator`] batches, merge into the authoritative driver
-//!   under the query's
-//!   engine mutex, advance phases and republish demand. The paper's
+//!   under the query's engine mutex, advance phases and republish
+//!   demand. `ParallelMatch` is this protocol with one query on a
+//!   private service. The paper's
 //!   correctness argument carries over unchanged: any set of blocks of
 //!   the pre-permuted table is a uniform without-replacement sample, so
 //!   quantum scheduling changes *latency*, never the guarantee.
-//! * **Progressive results** — after every merged quantum the handle's
-//!   snapshot is refreshed: current top-k preview, phase,
-//!   [`GuaranteeState`], samples so far, and the query's attributed
-//!   [`IoStats`](fastmatch_store::io::IoStats) — including its private
-//!   hit/miss view of the *shared* block cache.
+//! * **Progressive results** — [`QueryHandle::progress`] builds a
+//!   snapshot from the query's driver on request: current top-k
+//!   preview, phase, [`GuaranteeState`], samples so far, and the
+//!   query's attributed [`IoStats`](fastmatch_store::io::IoStats) —
+//!   including its private hit/miss view of the *shared* block cache.
+//!   Nothing is computed for a query nobody polls.
 //! * **Cancellation & deadlines** — cooperative: workers observe the
 //!   cancel flag and the deadline at quantum boundaries, so a stuck
 //!   disk read is never interrupted mid-page, and a cancelled query's
@@ -59,7 +60,7 @@ pub use handle::{GuaranteeState, QueryHandle, QueryOutcome, QueryProgress};
 pub use state::{admission_has_capacity, all_shards_parked, queue_scan_order, SchedStats};
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fastmatch_core::error::CoreError;
@@ -75,8 +76,8 @@ use crate::service::handle::QueryShared;
 use crate::service::state::{EngineState, QueryState, Scheduler, ShardTask, Verdict};
 use crate::shared::{DemandMode, SharedDemand};
 
-/// Lookahead window for AnyActive marking inside a quantum (identical to
-/// `ParallelMatch`'s, for the same bitmap cache-locality reasons).
+/// Lookahead window for AnyActive marking inside a quantum: bounds the
+/// marks buffer and keeps bitmap probes cache-local.
 const MARK_WINDOW: usize = 256;
 
 /// Consecutive all-parked valve rounds (demand republished, every shard
@@ -214,16 +215,7 @@ impl ServiceConfig {
     /// Panics on a degenerate adaptive policy (zero target, zero
     /// `min_blocks`, or `min_blocks > max_blocks`).
     pub fn with_quantum_policy(mut self, policy: QuantumPolicy) -> Self {
-        if let QuantumPolicy::Adaptive {
-            target,
-            min_blocks,
-            max_blocks,
-        } = policy
-        {
-            assert!(!target.is_zero(), "quantum time slice must be positive");
-            assert!(min_blocks > 0, "quantum floor must be positive");
-            assert!(min_blocks <= max_blocks, "quantum bounds must be ordered");
-        }
+        assert_policy(policy);
         self.quantum = policy;
         self
     }
@@ -232,6 +224,21 @@ impl ServiceConfig {
     pub fn with_work_stealing(mut self, stealing: bool) -> Self {
         self.work_stealing = stealing;
         self
+    }
+}
+
+/// Panics on a degenerate adaptive policy (zero target, zero
+/// `min_blocks`, or `min_blocks > max_blocks`).
+fn assert_policy(policy: QuantumPolicy) {
+    if let QuantumPolicy::Adaptive {
+        target,
+        min_blocks,
+        max_blocks,
+    } = policy
+    {
+        assert!(!target.is_zero(), "quantum time slice must be positive");
+        assert!(min_blocks > 0, "quantum floor must be positive");
+        assert!(min_blocks <= max_blocks, "quantum bounds must be ordered");
     }
 }
 
@@ -392,16 +399,7 @@ impl<'env> QueryService<'env> {
         assert!(config.shards_per_query > 0, "shard count must be positive");
         assert!(config.quantum_blocks > 0, "quantum must be positive");
         assert!(config.max_admitted > 0, "admission bound must be positive");
-        if let QuantumPolicy::Adaptive {
-            target,
-            min_blocks,
-            max_blocks,
-        } = config.quantum
-        {
-            assert!(!target.is_zero(), "quantum time slice must be positive");
-            assert!(min_blocks > 0, "quantum floor must be positive");
-            assert!(min_blocks <= max_blocks, "quantum bounds must be ordered");
-        }
+        assert_policy(config.quantum);
         let svc = QueryService {
             backend,
             config,
@@ -441,7 +439,6 @@ impl<'env> QueryService<'env> {
     /// bound, [`ServiceError::Invalid`] when the driver cannot be built —
     /// and never blocks.
     pub fn submit(&self, req: QueryRequest<'env>) -> Result<QueryHandle, ServiceError> {
-        self.reserve_slot()?;
         let job = QueryJob::from_backend(
             self.backend,
             req.bitmap,
@@ -450,7 +447,7 @@ impl<'env> QueryService<'env> {
             req.target,
             req.cfg,
         );
-        self.admit_reserved(job, req.seed, req.deadline)
+        self.admit(job, req.seed, req.deadline)
     }
 
     /// Admits one query over a live-table [`Snapshot`] the query will
@@ -483,10 +480,9 @@ impl<'env> QueryService<'env> {
                 schema.attr(req.x_attr).cardinality
             ))));
         }
-        self.reserve_slot()?;
         let job =
             QueryJob::from_snapshot_shared(snapshot, req.z_attr, req.x_attr, req.target, req.cfg);
-        self.admit_reserved(job, req.seed, req.deadline)
+        self.admit(job, req.seed, req.deadline)
     }
 
     /// Takes a fresh point-in-time snapshot of `live` and admits one
@@ -531,15 +527,17 @@ impl<'env> QueryService<'env> {
         }
     }
 
-    /// Builds the driver for an already-reserved admission slot, then
-    /// decomposes the query into shard tasks on the shared scheduler —
-    /// the backend-agnostic tail of every submit path.
-    fn admit_reserved(
+    /// Admits a prepared job: reserves an admission slot, builds the
+    /// driver, then decomposes the query into shard tasks on the shared
+    /// scheduler — the backend-agnostic tail of every submit path, and
+    /// how `ParallelMatch` runs its query on a private service.
+    pub(crate) fn admit(
         &self,
         job: QueryJob<'env>,
         seed: u64,
         deadline: Option<Duration>,
     ) -> Result<QueryHandle, ServiceError> {
+        self.reserve_slot()?;
         let admitted = (|| {
             let mut driver = Driver::new(&job).map_err(ServiceError::Invalid)?;
             let demand = SharedDemand::new(job.num_candidates());
@@ -559,24 +557,15 @@ impl<'env> QueryService<'env> {
                 return Err(e);
             }
         };
-        let done_at_submit = driver.hs.is_done();
-
         let nb = job.layout.num_blocks();
         let shards = self.config.shards_per_query.min(nb).max(1);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::new(QueryShared::new(id));
+        let shared = Arc::new(QueryShared::new(id, EngineState::new(driver, shards)));
         let reader = job.reader();
         let query = Arc::new(QueryState {
             id,
             job,
             demand,
-            engine: Mutex::new(EngineState {
-                driver: Some(driver),
-                io: Default::default(),
-                live_shards: shards,
-                stuck_rounds: 0,
-                verdict: done_at_submit.then_some(Verdict::Completed),
-            }),
             shared: Arc::clone(&shared),
             deadline: deadline.map(|d| Instant::now() + d),
             live_shards_hint: AtomicUsize::new(shards),
@@ -589,21 +578,13 @@ impl<'env> QueryService<'env> {
                 shard_reader.num_blocks(),
                 seed.wrapping_add(w as u64).wrapping_mul(0x9e37_79b9),
             );
-            let n_local = shard_reader.num_blocks();
             let home = self.next_home.fetch_add(1, Ordering::Relaxed) % self.config.workers;
-            self.sched.enqueue(ShardTask {
-                query: Arc::clone(&query),
-                reader: shard_reader,
-                visited: vec![false; n_local],
-                visited_count: 0,
+            self.sched.enqueue(ShardTask::new(
+                Arc::clone(&query),
+                shard_reader,
                 start,
-                cursor: 0,
-                pass_epoch: 0,
-                read_this_pass: false,
-                flushed: Default::default(),
                 home,
-                ewma_ns_per_block: 0.0,
-            });
+            ));
         }
         Ok(QueryHandle { shared })
     }
@@ -674,8 +655,10 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
         retire(svc, task);
         return;
     }
+    // A shard with its range consumed retires — an empty one on its
+    // first quantum, since nothing could ever wake it from a park.
     let n_local = task.reader.num_blocks();
-    if n_local == 0 || task.visited_count == n_local {
+    if task.visited_count == n_local {
         retire(svc, task);
         return;
     }
@@ -683,15 +666,6 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
     // The ingestion quantum: walk the shard in rotated pass order,
     // reading demand-marked unvisited blocks into an accumulator, at
     // most `quantum_blocks` of them.
-    //
-    // KEEP IN SYNC with `shard_worker` in exec/parallel_match.rs: this is
-    // the same demand-marked shard walk (rotated two-segment order,
-    // MARK_WINDOW lookahead marking, visited set, fruitless-pass
-    // detection), differing only in that it is *resumable* — bounded by
-    // the quantum and re-entered with the cursor where it left off —
-    // where ParallelMatch's worker owns its thread and runs passes to
-    // exhaustion. A behavioral fix to demand marking or pass-epoch
-    // bookkeeping in either walker almost certainly applies to both.
     let job = &query.job;
     let lo = task.reader.blocks().start;
     let mut acc = HistAccumulator::new(job.num_candidates(), job.num_groups());
@@ -810,7 +784,7 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
     // task's next life.
     let mut merged = false;
     let next = {
-        let mut eng = query.engine.lock().unwrap();
+        let mut eng = query.shared.engine.lock().unwrap();
         task.flush_io(&mut eng);
         if let Some(e) = failure {
             eng.set_verdict(Verdict::Failed(e));
@@ -819,21 +793,15 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
             eng.stuck_rounds = 0;
             let d = eng.driver.as_mut().expect("driver taken before verdict");
             d.merge_batch(acc, &touches);
-            let advanced = d.advance_and_publish(&query.demand);
-            let done = advanced.is_ok() && d.hs.is_done();
-            match advanced {
-                Ok(()) => {
-                    if done {
-                        eng.set_verdict(Verdict::Completed);
-                    }
-                }
+            match d.advance_and_publish(&query.demand) {
+                Ok(()) if d.hs.is_done() => eng.set_verdict(Verdict::Completed),
+                Ok(()) => {}
                 Err(e) => {
                     eng.set_verdict(Verdict::Failed(e));
                     query.demand.set_mode(DemandMode::Stop);
                 }
             }
             merged = true;
-            refresh_progress(&query, &mut eng);
         }
         if eng.verdict.is_some() || task.visited_count == n_local {
             Next::Retire
@@ -863,7 +831,7 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
 /// wakes the query's parked shards so every task retires promptly.
 fn finalize_reason(svc: &QueryService<'_>, query: &QueryState<'_>, verdict: Verdict) {
     {
-        let mut eng = query.engine.lock().unwrap();
+        let mut eng = query.shared.engine.lock().unwrap();
         eng.set_verdict(verdict);
         query.demand.set_mode(DemandMode::Stop);
     }
@@ -878,7 +846,7 @@ fn finalize_reason(svc: &QueryService<'_>, query: &QueryState<'_>, verdict: Verd
 /// forever.
 fn stuck_valve(svc: &QueryService<'_>, query: &QueryState<'_>) {
     {
-        let mut eng = query.engine.lock().unwrap();
+        let mut eng = query.shared.engine.lock().unwrap();
         if eng.verdict.is_none() {
             eng.stuck_rounds += 1;
             if eng.stuck_rounds >= MAX_STUCK_ROUNDS {
@@ -898,35 +866,15 @@ fn stuck_valve(svc: &QueryService<'_>, query: &QueryState<'_>) {
     svc.sched.wake_query(query.id);
 }
 
-/// Refreshes the handle's progressive snapshot (caller holds the engine
-/// mutex).
-fn refresh_progress(query: &QueryState<'_>, eng: &mut EngineState) {
-    let d = match &eng.driver {
-        Some(d) => d,
-        None => return,
-    };
-    let phase = d.hs.phase();
-    let exact = d.hs.diagnostics().exact_finish;
-    let samples = (0..query.job.num_candidates() as u32)
-        .map(|c| d.hs.samples_for(c))
-        .sum();
-    query.shared.set_progress(QueryProgress {
-        phase,
-        guarantee: GuaranteeState::from_phase(phase, exact),
-        current_topk: d.hs.current_topk(),
-        samples,
-        io: eng.io,
-    });
-}
-
 /// Retires one shard task: folds its remaining I/O into the query and,
 /// when it is the *last* live shard, converts the verdict into the
 /// published outcome (finishing the driver, exhausted-exact if no
-/// verdict was recorded).
+/// verdict was recorded), storing the terminal progress snapshot before
+/// the driver is dropped.
 fn retire<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
     let query = Arc::clone(&task.query);
-    let publish = {
-        let mut eng = query.engine.lock().unwrap();
+    let outcome = {
+        let mut eng = query.shared.engine.lock().unwrap();
         task.flush_io(&mut eng);
         eng.live_shards -= 1;
         query
@@ -935,68 +883,49 @@ fn retire<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
         if eng.live_shards > 0 {
             None
         } else {
-            let verdict = eng.verdict.take();
-            let driver = eng.driver.take();
             let io = eng.io;
-            let outcome = match verdict {
-                Some(Verdict::Cancelled) => QueryOutcome::Cancelled,
-                Some(Verdict::DeadlineExpired) => QueryOutcome::DeadlineExpired,
-                Some(Verdict::Failed(e)) => QueryOutcome::Failed(e),
+            let mut d = eng
+                .driver
+                .take()
+                .expect("driver must exist until the last retire");
+            let verdict = match eng.verdict.take() {
                 // `Completed`, or no verdict at all — the latter means
                 // every shard consumed its whole block range without the
                 // state machine terminating: the table is exhausted and
                 // the results are exact.
-                Some(Verdict::Completed) | None => {
-                    let mut d = driver.expect("driver must exist until the last retire");
-                    let run = (|| {
-                        if !d.hs.is_done() {
-                            d.finish_exhausted()?;
-                        }
-                        d.finish(io)
-                    })();
-                    match run {
-                        Ok(out) => QueryOutcome::Finished(out),
-                        Err(e) => QueryOutcome::Failed(e),
-                    }
+                Some(Verdict::Completed) | None if !d.hs.is_done() => {
+                    d.finish_exhausted().err().map(Verdict::Failed)
                 }
+                verdict => verdict,
             };
-            Some((outcome, io))
+            // The query's final state; a cancelled, expired or failed
+            // query keeps its last one, the best answer its client gets.
+            eng.terminal = QueryProgress::of(&d, io);
+            Some(match verdict {
+                Some(Verdict::Cancelled) => QueryOutcome::Cancelled,
+                Some(Verdict::DeadlineExpired) => QueryOutcome::DeadlineExpired,
+                Some(Verdict::Failed(e)) => QueryOutcome::Failed(e),
+                Some(Verdict::Completed) | None => match d.finish(io) {
+                    Ok(out) => QueryOutcome::Finished(out),
+                    Err(e) => QueryOutcome::Failed(e),
+                },
+            })
         }
     };
-    if let Some((outcome, io)) = publish {
+    if let Some(outcome) = outcome {
         query.demand.set_mode(DemandMode::Stop);
-        query
-            .shared
-            .publish_outcome(final_progress(&outcome), io, outcome);
+        query.shared.publish_outcome(outcome);
         svc.active.fetch_sub(1, Ordering::Relaxed);
     } else {
         // The live set shrank: the query's remaining shards may all be
         // parked already, and with this shard gone no parking transition
-        // is left to trigger the valve — re-evaluate all-parked here,
-        // exactly as `ParallelMatch` re-checks on `ShardExhausted`.
+        // is left to trigger the valve — re-evaluate all-parked here.
+        // (Skipping this re-check is the historical anonymous-tally
+        // deadlock; the `admission_steal` model keeps it as a mutation.)
         let live = query.live_shards_hint.load(Ordering::Relaxed);
         if svc.sched.all_parked(query.id, live) {
             stuck_valve(svc, &query);
         }
-    }
-}
-
-/// The terminal progress snapshot for a *finished* outcome. Cancelled,
-/// deadline-expired and failed queries return `None`: their last
-/// progressive snapshot is the best answer the client will ever get
-/// (the whole point of pairing deadlines with progressive results), so
-/// it must be preserved, not replaced by an empty terminal one.
-fn final_progress(outcome: &QueryOutcome) -> Option<QueryProgress> {
-    use fastmatch_core::histsim::PhaseKind;
-    match outcome {
-        QueryOutcome::Finished(out) => Some(QueryProgress {
-            phase: PhaseKind::Done,
-            guarantee: GuaranteeState::from_phase(PhaseKind::Done, out.stats.exact_finish),
-            current_topk: out.candidate_ids(),
-            samples: out.stats.samples,
-            io: out.stats.io,
-        }),
-        _ => None,
     }
 }
 
@@ -1219,6 +1148,43 @@ mod tests {
         });
         assert_eq!(stats.steals, 0, "{stats:?}");
         assert!(stats.quanta > 0);
+    }
+
+    /// A shard task with an empty block range must retire on its first
+    /// quantum, before walking anything, and never park: with nothing
+    /// to read, no demand change could ever wake it.
+    #[test]
+    fn empty_shard_task_retires_on_first_quantum_and_never_parks() {
+        let t = table();
+        let layout = BlockLayout::new(t.n_rows(), 1024); // 4 blocks
+        let backend = MemBackend::new(&t, layout);
+        let bitmap = BitmapIndex::build(&t, 0, &layout);
+        // Observed inside the scope, asserted outside it: a failed assert
+        // inside would skip the shutdown that joins the workers.
+        let config = ServiceConfig::default().with_workers(1);
+        let (live, parked, quanta) = QueryService::serve(&backend, config, |svc| {
+            let job = QueryJob::from_backend(&backend, &bitmap, 0, 1, vec![0.5, 0.5], cfg());
+            let mut driver = Driver::new(&job).unwrap();
+            let demand = SharedDemand::new(job.num_candidates());
+            driver.advance_and_publish(&demand).unwrap();
+            // Two live shards: retiring this one publishes no outcome.
+            let query = Arc::new(QueryState {
+                id: 0,
+                shared: Arc::new(QueryShared::new(0, EngineState::new(driver, 2))),
+                job,
+                demand,
+                deadline: None,
+                live_shards_hint: AtomicUsize::new(2),
+            });
+            let reader = query.job.reader().shard(5, 8); // of 4 blocks: empty
+            assert_eq!(reader.num_blocks(), 0);
+            run_quantum(svc, ShardTask::new(Arc::clone(&query), reader, 0, 0));
+            let live = query.shared.engine.lock().unwrap().live_shards;
+            (live, svc.sched.all_parked(0, 1), svc.sched_stats().quanta)
+        });
+        assert_eq!(live, 1, "the empty shard must retire");
+        assert!(!parked, "an empty shard must not park");
+        assert_eq!(quanta, 0, "retired before walking");
     }
 
     #[test]

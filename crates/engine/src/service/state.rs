@@ -21,10 +21,9 @@
 //! pool capacity that other queries could use.
 //!
 //! Lock order (strict, deadlock-free): a query's engine mutex may be
-//! taken before the scheduler's queue mutex, never after; the handle
-//! mutex ([`super::handle::QueryShared`]) may be taken under the
-//! engine mutex (progress publication from the quantum loop), never
-//! the other way around, and never under the queue mutex.
+//! taken before the scheduler's queue mutex, never after; the handle's
+//! outcome mutex ([`super::handle::QueryShared`]) is taken with neither
+//! held.
 //! `fastmatch-lint`'s `lock_order` check extracts this graph from the
 //! source on every CI push (`crates/lint/LOCK_ORDER.dot`).
 
@@ -38,7 +37,7 @@ use fastmatch_store::io::{IoStats, ShardedBlockReader};
 
 use crate::exec::driver::Driver;
 use crate::query::QueryJob;
-use crate::service::handle::QueryShared;
+use crate::service::handle::{QueryProgress, QueryShared};
 use crate::shared::SharedDemand;
 
 /// Why a query stopped making progress (set once, under the engine
@@ -57,11 +56,15 @@ pub(crate) enum Verdict {
 }
 
 /// The mutable heart of one query: the HistSim driver plus aggregated
-/// per-query accounting. Guarded by [`QueryState::engine`].
+/// per-query accounting. Guarded by the query's engine mutex
+/// (`QueryShared::engine`).
 #[derive(Debug)]
 pub(crate) struct EngineState {
     /// The statistics engine; taken (`None`) by the last retiring shard.
     pub driver: Option<Driver>,
+    /// The snapshot [`Self::progress`] returns once `driver` is taken:
+    /// the last retiring shard stores it just before taking the driver.
+    pub terminal: QueryProgress,
     /// I/O attributed to this query so far (flushed from shard readers
     /// at every quantum boundary).
     pub io: IoStats,
@@ -74,6 +77,28 @@ pub(crate) struct EngineState {
 }
 
 impl EngineState {
+    /// The engine of a freshly admitted query with `live_shards` shard
+    /// tasks; a driver already done at admission is `Completed`.
+    pub fn new(driver: Driver, live_shards: usize) -> Self {
+        EngineState {
+            terminal: QueryProgress::of(&driver, IoStats::default()),
+            verdict: driver.hs.is_done().then_some(Verdict::Completed),
+            driver: Some(driver),
+            io: IoStats::default(),
+            live_shards,
+            stuck_rounds: 0,
+        }
+    }
+
+    /// The query's progress: built from the driver while it runs, the
+    /// stored terminal snapshot afterwards.
+    pub fn progress(&self) -> QueryProgress {
+        match &self.driver {
+            Some(d) => QueryProgress::of(d, self.io),
+            None => self.terminal.clone(),
+        }
+    }
+
     /// Records the terminal reason if none is set yet (first writer
     /// wins: a cancel racing a completion must not overwrite it).
     pub fn set_verdict(&mut self, verdict: Verdict) {
@@ -91,11 +116,10 @@ pub(crate) struct QueryState<'a> {
     /// The prepared query (holds the backend + bitmap references).
     pub job: QueryJob<'a>,
     /// Demand snapshot published to all of this query's shard tasks —
-    /// the same protocol `ParallelMatch` workers follow.
+    /// the same protocol every HistSim executor follows.
     pub demand: SharedDemand,
-    /// Driver + accounting, under the query's engine mutex.
-    pub engine: Mutex<EngineState>,
-    /// Handle-side shared state (`'static`).
+    /// Handle-side shared state (`'static`), including the query's
+    /// engine mutex.
     pub shared: Arc<QueryShared>,
     /// Absolute deadline, if the request set one.
     pub deadline: Option<Instant>,
@@ -150,6 +174,30 @@ pub(crate) struct ShardTask<'a> {
 }
 
 impl<'a> ShardTask<'a> {
+    /// A task at the start of its first pass over `reader`'s range,
+    /// rotated by `start`.
+    pub fn new(
+        query: Arc<QueryState<'a>>,
+        reader: ShardedBlockReader<'a>,
+        start: usize,
+        home: usize,
+    ) -> Self {
+        let n_local = reader.num_blocks();
+        ShardTask {
+            query,
+            reader,
+            visited: vec![false; n_local],
+            visited_count: 0,
+            start,
+            cursor: 0,
+            pass_epoch: 0,
+            read_this_pass: false,
+            flushed: IoStats::default(),
+            home,
+            ewma_ns_per_block: 0.0,
+        }
+    }
+
     /// Flushes the reader stats accrued since the last flush into the
     /// query's aggregate (caller holds the engine mutex).
     pub fn flush_io(&mut self, eng: &mut EngineState) {
@@ -207,15 +255,6 @@ pub fn admission_has_capacity(active: usize, limit: usize) -> bool {
     active < limit
 }
 
-/// A parked task. The epoch whose fruitless pass parked it is *not*
-/// kept: `wake_query` wakes a query's parked tasks unconditionally on
-/// any epoch bump, and the park-vs-requeue decision is made once, under
-/// the queue lock, in [`Scheduler::park`].
-#[derive(Debug)]
-struct ParkedTask<'a> {
-    task: ShardTask<'a>,
-}
-
 /// Scheduler-level counters, exposed through
 /// [`super::QueryService::sched_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -232,8 +271,24 @@ struct SchedState<'a> {
     /// One FIFO ready queue per worker; tasks land on their home queue
     /// and idle workers steal from others when theirs runs dry.
     queues: Vec<VecDeque<ShardTask<'a>>>,
-    parked: Vec<ParkedTask<'a>>,
+    /// Parked tasks. The epoch whose fruitless pass parked a task is not
+    /// kept: `wake_query` wakes a query's parked tasks on any epoch bump,
+    /// and [`Scheduler::park`] decides park-vs-requeue under the lock.
+    parked: Vec<ShardTask<'a>>,
     shutdown: bool,
+}
+
+impl<'a> SchedState<'a> {
+    /// Appends `task` at its home queue's tail.
+    fn push_home(&mut self, task: ShardTask<'a>) {
+        let home = task.home.min(self.queues.len() - 1);
+        self.queues[home].push_back(task);
+    }
+
+    /// How many of query `id`'s tasks are parked.
+    fn parked_of(&self, id: u64) -> usize {
+        self.parked.iter().filter(|t| t.query.id == id).count()
+    }
 }
 
 /// The shared scheduler: per-worker FIFO ready queues (with optional
@@ -284,8 +339,7 @@ impl<'a> Scheduler<'a> {
     /// of different queries round-robin within a queue).
     pub fn enqueue(&self, task: ShardTask<'a>) {
         let mut s = self.state.lock().unwrap();
-        let home = task.home.min(s.queues.len() - 1);
-        s.queues[home].push_back(task);
+        s.push_home(task);
         drop(s);
         // notify_all, not notify_one: with per-worker queues a single
         // wakeup can land on a worker that (stealing disabled) will not
@@ -335,37 +389,29 @@ impl<'a> Scheduler<'a> {
         let query = Arc::clone(&task.query);
         let mut s = self.state.lock().unwrap();
         if s.shutdown || query.demand.epoch() != pass_epoch {
-            let home = task.home.min(s.queues.len() - 1);
-            s.queues[home].push_back(task);
+            s.push_home(task);
             drop(s);
             self.cv.notify_all();
             return false;
         }
-        s.parked.push(ParkedTask { task });
-        let parked = s
-            .parked
-            .iter()
-            .filter(|p| p.task.query.id == query.id)
-            .count();
-        all_shards_parked(parked, query.live_shards_hint.load(Ordering::Relaxed))
+        s.parked.push(task);
+        all_shards_parked(
+            s.parked_of(query.id),
+            query.live_shards_hint.load(Ordering::Relaxed),
+        )
     }
 
     /// Whether every one of the query's `live` still-unretired shards is
     /// currently parked. Called after a shard retires: the live set
     /// shrinking can make an existing parked set become "all of them",
-    /// with no parking transition left to notice it (the same stale-tally
-    /// hazard `ParallelMatch` re-checks for on `ShardExhausted`).
+    /// with no parking transition left to notice it (the historical
+    /// anonymous-tally deadlock).
     pub fn all_parked(&self, query_id: u64, live: usize) -> bool {
         if live == 0 {
             return false;
         }
         let s = self.state.lock().unwrap();
-        let parked = s
-            .parked
-            .iter()
-            .filter(|p| p.task.query.id == query_id)
-            .count();
-        all_shards_parked(parked, live)
+        all_shards_parked(s.parked_of(query_id), live)
     }
 
     /// Moves every parked task of `query_id` back to the ready queue
@@ -376,10 +422,9 @@ impl<'a> Scheduler<'a> {
         let mut woken = 0usize;
         let mut i = 0;
         while i < s.parked.len() {
-            if s.parked[i].task.query.id == query_id {
-                let p = s.parked.swap_remove(i);
-                let home = p.task.home.min(s.queues.len() - 1);
-                s.queues[home].push_back(p.task);
+            if s.parked[i].query.id == query_id {
+                let task = s.parked.swap_remove(i);
+                s.push_home(task);
                 woken += 1;
             } else {
                 i += 1;
@@ -397,11 +442,30 @@ impl<'a> Scheduler<'a> {
     pub fn shutdown(&self) {
         let mut s = self.state.lock().unwrap();
         s.shutdown = true;
-        while let Some(p) = s.parked.pop() {
-            let home = p.task.home.min(s.queues.len() - 1);
-            s.queues[home].push_back(p.task);
+        while let Some(task) = s.parked.pop() {
+            s.push_home(task);
         }
         drop(s);
         self.cv.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn all_shards_parked_needs_every_live_shard() {
+        // Nothing live: the query is fully retired, nobody to wake.
+        assert!(!all_shards_parked(0, 0));
+        assert!(!all_shards_parked(1, 0));
+        // Partly parked: a running shard will merge or park itself.
+        assert!(!all_shards_parked(0, 2));
+        assert!(!all_shards_parked(1, 2));
+        // Fully parked: the stuck valve must run.
+        assert!(all_shards_parked(1, 1));
+        assert!(all_shards_parked(2, 2));
+        // More parked than live (a retire raced the count): still all.
+        assert!(all_shards_parked(3, 2));
     }
 }

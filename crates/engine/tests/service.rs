@@ -209,8 +209,8 @@ fn concurrent_service_agrees_with_serial_service() {
 }
 
 /// Progressive results: a long query's snapshot must move through the
-/// phases and finally equal the output; per-query attributed I/O must be
-/// visible before completion.
+/// phases and finally equal the output; per-query attributed I/O and a
+/// top-k preview must be visible before completion.
 #[test]
 fn progress_reports_phases_and_io_before_completion() {
     let rows = 200_000;
@@ -237,6 +237,19 @@ fn progress_reports_phases_and_io_before_completion() {
                     break;
                 }
                 let p = h.progress();
+                // The preview is built on request: empty before the
+                // first sample, then at most `k` candidates.
+                if p.samples == 0 {
+                    assert!(
+                        p.current_topk.is_empty(),
+                        "preview before any sample: {p:?}"
+                    );
+                } else {
+                    assert!(
+                        !p.current_topk.is_empty() && p.current_topk.len() <= config().k,
+                        "mid-flight preview must hold 1..=k candidates: {p:?}"
+                    );
+                }
                 if p.io.blocks_read > 0 {
                     saw_midflight_io = true;
                     break;
